@@ -43,9 +43,9 @@ sanitize-stress:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Batch-engine equivalence + throughput smoke across the engine ×
-# layout matrix; writes BENCH_batch_query.json at the repo root
-# (asserts bit-identical answers and >= 5x speedup over scalar).
+# Fused-kernel vs scalar equivalence + throughput smoke; writes
+# BENCH_batch_query.json at the repo root (asserts bit-identical
+# answers and >= 5x speedup over scalar).
 bench-smoke:
 	python benchmarks/bench_batch_query.py --preset smoke
 

@@ -28,7 +28,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: :func:`write_bench_json`.  v3: batch_query grew the engine × layout
 #: × workload matrix and the headline moved to the fused kernels.
 #: v4: cluster run_table rows grew cpu_s/rss_mb resource columns.
-BENCH_SCHEMA_VERSION = 4
+#: v5: batch_query is fused vs scalar only — the engine × layout matrix
+#: and every cache_hit_rate field are gone.
+BENCH_SCHEMA_VERSION = 5
 
 
 def process_usage() -> dict:
@@ -85,13 +87,12 @@ def mean(values) -> float:
 def batch_rows(runs) -> str:
     """Format FilterRun rows (scalar and batch modes side by side).
 
-    Surfaces the batch engine's counters — probes per query, fetch-cache
-    hit rate and per-batch wall time — next to throughput, so a bench
-    table shows *why* the batch path is faster, not just that it is.
+    Surfaces the batch path's counters — probes per query and per-batch
+    wall time — next to throughput, so a bench table shows *why* the
+    batch path is faster, not just that it is.
     """
     cols = [
-        "filter", "mode", "bpk", "filter_kqps", "probes/q",
-        "cache_hit_rate", "batch_seconds",
+        "filter", "mode", "bpk", "filter_kqps", "probes/q", "batch_seconds",
     ]
     rows = [c.ljust(15) for c in cols]
     lines = ["".join(rows)]

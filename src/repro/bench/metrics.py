@@ -60,11 +60,8 @@ class FilterRun:
     probes_per_query: float
     overall_kqps: float
     build_seconds: float = 0.0
-    #: "scalar" for the per-query loop, "batch" for the vectorised engine.
+    #: "scalar" for the per-query loop, "batch" for the vectorised path.
     mode: str = "scalar"
-    #: Fetch-cache hit rate of the batch engine (0.0 on the scalar path
-    #: or for filters without a cache).
-    cache_hit_rate: float = 0.0
 
     def as_row(self) -> dict:
         """Result-table row used by the figure benches."""
@@ -75,7 +72,6 @@ class FilterRun:
             "fpr": self.fpr,
             "filter_kqps": round(self.filter_kqps, 1),
             "probes/q": round(self.probes_per_query, 1),
-            "cache_hit_rate": round(self.cache_hit_rate, 3),
             "batch_seconds": round(self.filter_seconds, 4),
             "overall_kqps": round(self.overall_kqps, 2),
         }
@@ -365,31 +361,22 @@ def run_batch_filter(
     point: bool = False,
     io_cost_ns: int = DEFAULT_IO_COST_NS,
     build_seconds: float = 0.0,
-    engine: "str | None" = None,
 ) -> FilterRun:
-    """Run a workload through the vectorised batch engine.
+    """Run a workload through the vectorised batch path.
 
     Same metrics as :func:`run_filter` / :func:`run_point_filter`, but
     the whole workload goes through ``query_many`` /
     ``query_point_many`` in one call, and the run additionally records
-    ``mode="batch"``, the batch wall time (``filter_seconds``) and the
-    fetch-cache hit rate when the filter exposes one.  ``engine``
-    selects the batch kernel backend on filters that support fused
-    kernels (:mod:`repro.core.kernels`); other filters ignore it.
+    ``mode="batch"`` and the batch wall time (``filter_seconds``).
     """
     if not queries:
         raise ValueError("need at least one query")
-    kernels = getattr(filt, "supports_kernels", False)
     filt.reset_counters()
     start = time.perf_counter()
     if point:
-        points = [lo for lo, _ in queries]
-        if kernels:
-            answers = filt.query_point_many(points, engine=engine)
-        else:
-            answers = filt.query_point_many(points)
+        answers = filt.query_point_many([lo for lo, _ in queries])
     else:
-        answers = filt.query_many(queries, engine=engine)
+        answers = filt.query_many(queries)
     elapsed = time.perf_counter() - start
     positives = int(sum(bool(a) for a in answers))
     n = len(queries)
@@ -410,5 +397,4 @@ def run_batch_filter(
         overall_kqps=n / overall_seconds / 1e3 if overall_seconds else float("inf"),
         build_seconds=build_seconds,
         mode="batch",
-        cache_hit_rate=float(getattr(filt, "cache_hit_rate", 0.0)),
     )

@@ -1,139 +1,35 @@
-"""Native-speed batch query kernels (DESIGN.md §11).
+"""The fused batch query kernel (DESIGN.md §11).
 
-The interpreted batch engine (:meth:`REncoder.query_range_many`) pays
-for generality: a :class:`FetchCache` dedupes mini-trees with
-``np.unique``/``argsort`` per level and every probe materialises a full
-combined Bitmap Tree (a ``k × (words+1)``-word gather) to read a single
-bit out of it.  The kernels in this package fuse the whole descent —
-dyadic decomposition, hash mixing, and RBF bit-tests — into one pass
-over preallocated uint64 arrays: a probe is ``k`` single-word gathers
-(plus the mirror-root word when the hash-prefix level is stored) and the
-per-level Python round-trips between ``decompose.py``, ``rbf.py`` and
-the variant descent loops disappear.
-
-Backends
---------
-``numpy``
-    The fused vectorised kernel (:mod:`repro.core.kernels.fused`).
-    Always available.
-``numba``
-    A compiled per-query loop (:mod:`repro.core.kernels.numba_backend`),
-    used when the ``numba`` package is importable.  Falls back to
-    ``numpy`` gracefully when it is not — selection never raises.
-``legacy``
-    The PR-1 vectorised engine with its FetchCache; kept for cache-reuse
-    call sites (an explicit ``cache=`` always routes here) and as the
-    reference implementation in equivalence tests.
-
-Selection: the ``REPRO_KERNELS`` environment variable (``numba`` |
-``numpy`` | ``auto`` | ``legacy``; default ``auto`` = numba when
-importable, else numpy), overridable per call via the ``engine=``
-argument on the batch query methods, and process-wide via
-:func:`configure`.  All backends are asserted bit-identical to the
-scalar descent by the property suite in ``tests/test_kernels.py``.
+Batch queries on the REncoder family run through one kernel,
+:class:`~repro.core.kernels.fused.NumpyKernel`: dyadic decomposition,
+hash mixing and RBF bit-tests fused into one pass over preallocated
+uint64 arrays.  A probe is ``k`` single-word gathers (plus the
+mirror-root word when the hash-prefix level is stored) — no Bitmap Tree
+is materialised and no per-level Python round-trips remain.  The scalar
+descent (:meth:`REncoder.query_range`) is its oracle: the property suite
+in ``tests/test_kernels.py`` asserts the two are bit-identical.
 """
 
 from __future__ import annotations
 
-import os
-
-__all__ = [
-    "available_backends",
-    "configure",
-    "default_backend",
-    "get_kernel",
-    "numba_available",
-    "resolve_backend",
-]
-
-_ENV = "REPRO_KERNELS"
-_VALID = ("auto", "numba", "numpy", "legacy")
-#: Process-wide override installed by :func:`configure` (None = use env).
-_CONFIGURED: "str | None" = None
-#: Cached numba importability (None = not yet checked).
-_NUMBA_OK: "bool | None" = None
-
-
-def numba_available() -> bool:
-    """Whether the compiled backend can be used in this process."""
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_OK = True
-        except ImportError:
-            _NUMBA_OK = False
-    return _NUMBA_OK
-
-
-def available_backends() -> list[str]:
-    """Backends usable right now, fastest first."""
-    out = ["numba"] if numba_available() else []
-    return out + ["numpy", "legacy"]
-
-
-def configure(backend: "str | None") -> None:
-    """Install a process-wide default backend (None restores the env).
-
-    Used by the FilterService so one constructor argument pins the
-    backend for every filter the storage tier consults.
-    """
-    global _CONFIGURED
-    if backend is not None and backend not in _VALID:
-        raise ValueError(
-            f"unknown kernel backend {backend!r}; expected one of {_VALID}"
-        )
-    _CONFIGURED = backend
-
-
-def resolve_backend(engine: "str | None" = None) -> str:
-    """Resolve an ``engine=`` argument to a concrete backend name.
-
-    Precedence: explicit argument > :func:`configure` > ``REPRO_KERNELS``
-    env var > ``auto``.  ``auto`` resolves to ``numba`` when importable
-    and ``numpy`` otherwise; asking for ``numba`` without the package
-    installed falls back to ``numpy`` silently (graceful degradation —
-    results are bit-identical, only speed differs).
-    """
-    choice = engine or _CONFIGURED or os.environ.get(_ENV, "auto")
-    if choice not in _VALID:
-        raise ValueError(
-            f"unknown kernel backend {choice!r}; expected one of {_VALID}"
-        )
-    if choice == "auto":
-        choice = "numba" if numba_available() else "numpy"
-    elif choice == "numba" and not numba_available():
-        choice = "numpy"
-    return choice
+__all__ = ["default_backend", "get_kernel"]
 
 
 def default_backend() -> str:
-    """The backend batch queries use when no ``engine=`` is passed."""
-    return resolve_backend(None)
+    """Name of the kernel batch queries run on (there is only one)."""
+    return "numpy"
 
 
-def get_kernel(filt, backend: "str | None" = None):
-    """The (cached) fused kernel bound to ``filt`` for ``backend``.
+def get_kernel(filt):
+    """The (cached) fused kernel bound to ``filt``.
 
-    Returns None for the ``legacy`` backend — callers fall through to
-    the FetchCache engine.  Kernels are cached per filter and
-    invalidated by ``_finalise_levels`` (the only operation that changes
-    the level plan).
+    Kernels are cached per filter and invalidated by
+    ``_finalise_levels`` (the only operation that changes the level
+    plan).
     """
-    backend = resolve_backend(backend)
-    if backend == "legacy":
-        return None
-    cached = getattr(filt, "_kernel_cache", None)
-    if cached is not None and cached[0] == backend:
-        return cached[1]
-    if backend == "numba":
-        from repro.core.kernels.numba_backend import NumbaKernel
-
-        kernel = NumbaKernel(filt)
-    else:
+    kernel = getattr(filt, "_kernel_cache", None)
+    if kernel is None:
         from repro.core.kernels.fused import NumpyKernel
 
-        kernel = NumpyKernel(filt)
-    filt._kernel_cache = (backend, kernel)
+        kernel = filt._kernel_cache = NumpyKernel(filt)
     return kernel

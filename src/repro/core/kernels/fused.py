@@ -1,10 +1,7 @@
-"""Fused decompose+probe batch kernel (pure numpy backend).
+"""Fused decompose+probe batch kernel.
 
-The legacy batch engine materialises a combined Bitmap Tree per
-mini-tree (a ``k × (words+1)``-word gather plus shift/AND passes) and
-dedupes fetches through a FetchCache (``np.unique`` + ``argsort`` +
-``searchsorted`` per level) — then reads a *single bit* out of each
-fetched BT.  This kernel computes that bit directly:
+A probe never materialises a combined Bitmap Tree to read one bit out
+of it; it computes that bit directly:
 
     probe(prefix, level)  =  AND_i  arr[pos_i + node - 1]           (node bit)
                           [ AND_i  arr[pos_i] ]                      (mirror root)
@@ -21,9 +18,12 @@ follows from the identity above: the scalar path ANDs ``k`` whole
 windows and then reads bit ``node-1`` (zeroing the BT when the combined
 root bit is absent); AND-then-read equals read-then-AND bit by bit.
 
-The level-synchronous doubting traversal mirrors
-:meth:`REncoder._descend_many` — identical frontier, budget and
-expansion semantics — with every probe routed through the fused path.
+The doubting traversal runs level-synchronously over the whole batch
+(:meth:`NumpyKernel._descend`).  The scalar :meth:`REncoder._descend`
+answers True iff some root-to-deepest path survives every stored-level
+probe or the expansion budget runs out — both independent of traversal
+order — so the breadth-first frontier with the same per-sub-range
+budget gives the scalar DFS's answers.
 """
 
 from __future__ import annotations
@@ -47,29 +47,23 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
-#: Layout codes shared with the numba backend.
-LAYOUT_FLAT = 0
-LAYOUT_BLOCKED = 1
-
-
 class KernelTables:
     """Per-filter constants flattened into plain arrays.
 
-    Everything a backend needs to probe without touching Python objects:
+    Everything the kernel needs to probe without touching Python objects:
     per-level geometry (depth in group, group hash tag, mirror-root
     flag), the stored-level plan, and the RBF placement parameters.
-    Built once per filter (lazily, via :func:`repro.core.kernels.get_kernel`)
-    and shared by the numpy and numba backends.  The RBF *array* is not
-    captured — backends read ``filt.rbf._array`` at call time, so
-    in-place inserts are always visible.
+    Built once per filter (lazily, via :func:`repro.core.kernels.get_kernel`).
+    The RBF *array* is not captured — the kernel reads
+    ``filt.rbf._array`` at call time, so in-place inserts are always
+    visible.
     """
 
     __slots__ = (
         "key_bits", "group_bits", "k", "depth", "tag", "mirror",
         "stored", "next_stored", "deepest", "stored_levels",
-        "point_levels", "max_expansion", "ancestor_checks",
-        "layout_code", "seeds", "buckets", "span_bits", "nblocks",
-        "num_offsets", "block_seed",
+        "point_levels", "max_expansion", "ancestor_checks", "seeds",
+        "buckets",
     )
 
     def __init__(self, filt) -> None:
@@ -96,20 +90,7 @@ class KernelTables:
         self.ancestor_checks = bool(filt.ancestor_checks)
         params = filt.rbf.placement_params()
         self.seeds = np.asarray(params["seeds"], dtype=np.uint64)
-        if params["layout"] == "blocked":
-            self.layout_code = LAYOUT_BLOCKED
-            self.buckets = np.uint64(params["num_offsets"])
-            self.span_bits = np.uint64(params["span_bits"])
-            self.nblocks = np.uint64(params["nblocks"])
-            self.num_offsets = np.uint64(params["num_offsets"])
-            self.block_seed = np.uint64(params["block_seed"])
-        else:
-            self.layout_code = LAYOUT_FLAT
-            self.buckets = np.uint64(params["buckets"])
-            self.span_bits = _U1
-            self.nblocks = _U1
-            self.num_offsets = _U1
-            self.block_seed = _U1
+        self.buckets = np.uint64(params["buckets"])
 
     @staticmethod
     def _plan_point_levels(filt) -> np.ndarray:
@@ -178,8 +159,6 @@ def _mix64_into(x: np.ndarray, t: np.ndarray) -> None:
 class NumpyKernel:
     """Fused vectorised batch kernel over a bound filter."""
 
-    backend = "numpy"
-
     def __init__(self, filt) -> None:
         self.filt = filt
         self.tables = KernelTables(filt)
@@ -220,20 +199,11 @@ class NumpyKernel:
         pos = a.u64("pos", n)
         tmp = a.u64("tmp", n)
         scr = a.u64("scr", n)
-        base = None
-        if t.layout_code == LAYOUT_BLOCKED:
-            base = a.u64("base", n)
-            np.bitwise_xor(hp, t.block_seed, out=base)
-            _mix64_into(base, tmp)
-            np.mod(base, t.nblocks, out=base)
-            np.multiply(base, t.span_bits, out=base)
         first = True
         for seed in t.seeds:
             np.bitwise_xor(hp, seed, out=pos)
             _mix64_into(pos, tmp)
             np.mod(pos, t.buckets, out=pos)
-            if base is not None:
-                np.add(pos, base, out=pos)
             # Node bit: arr[(pos + nodebit) >> 6] >> ((pos + nodebit) & 63).
             np.add(pos, nodebit, out=tmp)
             np.right_shift(tmp, _U6, out=scr)
@@ -315,9 +285,13 @@ class NumpyKernel:
     ) -> int:
         """Level-synchronous doubting traversal with fused probes.
 
-        Frontier, budget and expansion bookkeeping are exactly
-        :meth:`REncoder._descend_many`'s; only the probe is fused.
-        Returns the probe count for accounting.
+        One fused probe per level for the whole frontier, expansion by
+        ``gap`` bits to the next stored level, and a per-sub-range
+        budget identical to the scalar :meth:`REncoder._descend`'s: an
+        exhausted budget answers True, and a node's cost is clamped at
+        ``max_expansion + 1`` so near-root gaps cannot overflow.
+        Updates ``answers`` in place (True only — a sub-range can never
+        veto its query) and returns the probe count for accounting.
         """
         t = self.tables
         m = qidx.size
@@ -406,7 +380,8 @@ class NumpyKernel:
 
         Each fused probe reads ``k`` windows (one word each), so it
         advances ``fetch_count`` by ``k`` exactly like a scalar
-        ``fetch_bt`` — probe accounting stays comparable across engines.
+        ``fetch_bt`` — probe accounting stays comparable with the scalar
+        path.
         """
         if not probes:
             return

@@ -50,54 +50,7 @@ from repro.hashing.mix64 import HashFamily
 from repro.telemetry.instrument import Instrumented
 from repro.telemetry.tracing import current_span
 
-__all__ = ["RangeBloomFilter", "FetchScratch"]
-
-_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
-
-
-class FetchScratch:
-    """Reusable intermediate buffers for :meth:`RangeBloomFilter.fetch_bt_many`.
-
-    One instance per caller (the :class:`~repro.core.rencoder.FetchCache`
-    owns one), never shared across threads.  Buffers grow geometrically
-    and are reused across batches, so steady-state batch probing does no
-    per-call gather/shift allocations.
-    """
-
-    __slots__ = ("_idx", "_win", "_wnd", "_out")
-
-    def __init__(self) -> None:
-        self._idx: "np.ndarray | None" = None
-        self._win: "np.ndarray | None" = None
-        self._wnd: "np.ndarray | None" = None
-        self._out: "np.ndarray | None" = None
-
-    def buffers(
-        self, n: int, w: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index / gather / window buffers sized for ``n`` rows of ``w``
-        words, grown (1.5x headroom) only when the current ones are too
-        small or the geometry changed."""
-        if (
-            self._idx is None
-            or self._idx.shape[0] < n
-            or self._idx.shape[1] != w + 1
-        ):
-            rows = max(n + n // 2, 64)
-            self._idx = np.empty((rows, w + 1), dtype=np.intp)
-            self._win = np.empty((rows, w + 1), dtype=np.uint64)
-            self._wnd = np.empty((rows, w), dtype=np.uint64)
-        return self._idx[:n], self._win[:n], self._wnd[:n]
-
-    def out(self, n: int, w: int) -> np.ndarray:
-        """Reusable result buffer for the combined BTs (``(n, w)``)."""
-        if (
-            self._out is None
-            or self._out.shape[0] < n
-            or self._out.shape[1] != w
-        ):
-            self._out = np.empty((max(n + n // 2, 64), w), dtype=np.uint64)
-        return self._out
+__all__ = ["RangeBloomFilter"]
 
 
 class RangeBloomFilter(Instrumented):
@@ -114,39 +67,7 @@ class RangeBloomFilter(Instrumented):
         ``B`` — levels per mini-tree; a Bitmap Tree is ``2^(B+1)`` bits.
     seed:
         Master seed for the hash family.
-    layout:
-        ``"flat"`` (default) places each of the ``k`` windows
-        independently anywhere in the array — the paper's layout.
-        ``"blocked"`` dispatches to
-        :class:`~repro.core.kernels.layout.BlockedRBF`, which confines
-        all ``k`` windows of one hash prefix to a single cache-line-sized
-        block so a probe touches one contiguous region of memory.
     """
-
-    #: Placement-layout tag; subclasses with a different placement
-    #: (e.g. ``BlockedRBF``) override it.  Serialized alongside the
-    #: geometry so a reloaded filter reconstructs the same layout.
-    layout = "flat"
-
-    def __new__(
-        cls,
-        total_bits: int,
-        k: int = 2,
-        group_bits: int = 8,
-        seed: int = 0,
-        block_bits: "int | None" = None,
-        layout: str = "flat",
-    ) -> "RangeBloomFilter":
-        if cls is RangeBloomFilter and layout != "flat":
-            if layout != "blocked":
-                raise ValueError(
-                    f"unknown RBF layout {layout!r}; expected 'flat' or "
-                    f"'blocked'"
-                )
-            from repro.core.kernels.layout import BlockedRBF
-
-            return super().__new__(BlockedRBF)
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -155,7 +76,6 @@ class RangeBloomFilter(Instrumented):
         group_bits: int = 8,
         seed: int = 0,
         block_bits: int | None = None,
-        layout: str = "flat",
     ) -> None:
         if total_bits < 1:
             raise ValueError(f"total_bits must be positive, got {total_bits}")
@@ -187,11 +107,12 @@ class RangeBloomFilter(Instrumented):
         # fixed in-word offsets and would saturate long before the
         # deep-node bits, silently destroying the shallow levels'
         # discriminating power.  (A SIMD implementation realises the same
-        # placement with one shift before the wide OR.)  A BT never
-        # straddles the array end.
-        self._unit_bits = 1
+        # placement with one shift before the wide OR.)  Each of the k
+        # windows lands independently anywhere in [0, bits - block_bits],
+        # so a BT never straddles the array end.
         self._block_mask = (1 << self.block_bits) - 1
-        self._init_placement()
+        self.num_positions = self.bits - self.block_bits + 1
+        self._family = HashFamily(k, self.num_positions, seed)
         # Statistics used by the bench harness and the adaptive level
         # logic.  Guarded by a lock: service workers probe one shared
         # filter concurrently, and `+=` on a shared attribute is a
@@ -199,41 +120,22 @@ class RangeBloomFilter(Instrumented):
         self._stats_lock = threading.Lock()
         self.fetch_count = 0
         self.insert_count = 0
-        #: Bumped on every mutation (insert_bt / bulk_insert_nodes); a
-        #: FetchCache records the generation it was filled against and
-        #: self-invalidates when it no longer matches, so a cache reused
-        #: across batches can never serve stale mini-trees.
+        #: Bumped on every mutation (insert_bt / bulk_insert_nodes) and
+        #: exported as a telemetry gauge, so two observations of the
+        #: filter show whether its bit array changed in between.
         self.generation = 0
         self._ones_dirty = True
         self._ones_cache = 0
 
     # ------------------------------------------------------------------
-    # placement (overridden by BlockedRBF for the cache-blocked layout)
+    # placement
     # ------------------------------------------------------------------
-    def _init_placement(self) -> None:
-        """Build the hash machinery that maps a hash key to ``k`` window
-        start positions.  The flat layout places every window
-        independently anywhere in ``[0, bits - block_bits]``."""
-        self.num_positions = self.bits - self.block_bits + 1
-        # Construction-time only (called from __init__ before any thread
-        # can hold a reference); the placement is immutable afterwards.
-        self._family = HashFamily(self.k, self.num_positions, self.seed)  # lint: allow[lock-discipline]
-
-    def _positions(self, hash_key: int) -> list[int]:
-        """Window start bit positions of one hash key (length ``k``)."""
-        return self._family.positions(hash_key)
-
     def placement_params(self) -> dict:
-        """Layout constants the fused kernels fold into their tables."""
+        """Placement constants the fused kernel folds into its tables."""
         return {
-            "layout": self.layout,
             "buckets": self.num_positions,
             "seeds": np.asarray(self._family._seeds_arr, dtype=np.uint64),
         }
-
-    def _positions_array(self, hash_keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_positions`: ``(k, n)`` uint64 array."""
-        return self._family.positions_array(hash_keys)
 
     # ------------------------------------------------------------------
     # scalar path
@@ -246,7 +148,7 @@ class RangeBloomFilter(Instrumented):
             self._ones_dirty = True
         arr = self._array
         w = self.words_per_block
-        for pos in self._positions(hash_key):
+        for pos in self._family.positions(hash_key):
             word, shift = divmod(pos, 64)
             if shift == 0:
                 arr[word : word + w] |= bt
@@ -271,7 +173,7 @@ class RangeBloomFilter(Instrumented):
         arr = self._array
         w = self.words_per_block
         combined: np.ndarray | None = None
-        for pos in self._positions(hash_key):
+        for pos in self._family.positions(hash_key):
             word, shift = divmod(pos, 64)
             if shift == 0:
                 window = arr[word : word + w]
@@ -291,77 +193,6 @@ class RangeBloomFilter(Instrumented):
                 combined &= window
         if self.block_bits < 64:
             combined[0] &= np.uint64(self._block_mask)
-        return combined
-
-    def fetch_bt_many(
-        self,
-        hash_keys: np.ndarray,
-        *,
-        out: "np.ndarray | None" = None,
-        scratch: "FetchScratch | None" = None,
-    ) -> np.ndarray:
-        """Combined BTs for an array of hash prefixes, vectorised.
-
-        The batch equivalent of calling :meth:`fetch_bt` per key: all
-        ``k`` windows of all keys are resolved with one gather plus a
-        shift/OR pair per hash function, and the per-key AND across the
-        ``k`` windows happens array-wide.  Returns a
-        ``(len(hash_keys), words_per_block)`` array (row ``i`` is
-        bit-identical to ``fetch_bt(hash_keys[i])``); ``fetch_count``
-        advances by ``k`` per key, as on the scalar path.
-
-        ``out`` lets a caller supply the result buffer; a buffer with
-        enough rows is sliced and filled in place (the returned view
-        aliases it), anything else falls back to a fresh allocation.
-        ``scratch`` additionally recycles the gather/shift intermediates
-        across calls (see :class:`FetchScratch`) — the repeated
-        per-batch allocations otherwise show up as GC churn in the
-        PhaseProfiler at large batch sizes.  The :class:`FetchCache`
-        probe path owns one scratch per cache, so concurrent callers
-        never share buffers.
-        """
-        hash_keys = np.asarray(hash_keys, dtype=np.uint64)
-        n = hash_keys.size
-        w = self.words_per_block
-        if n == 0:
-            return np.zeros((0, w), dtype=np.uint64)
-        with self._stats_lock:
-            self.fetch_count += self.k * n
-        sp = current_span()
-        if sp is not None:
-            sp.add("rbf_fetches", self.k * n)
-        arr = self._array
-        positions = self._positions_array(hash_keys)
-        span = np.arange(w + 1, dtype=np.intp)
-        if out is not None and out.ndim == 2 and out.shape[0] >= n and (
-            out.shape[1] == w and out.dtype == np.uint64
-        ):
-            combined = out[:n]
-        else:
-            combined = np.empty((n, w), dtype=np.uint64)
-        if scratch is None:
-            scratch = FetchScratch()
-        idx, win, wnd = scratch.buffers(n, w)
-        for i in range(self.k):
-            word = (positions[i] >> np.uint64(6)).astype(np.intp)
-            shift = positions[i] & np.uint64(63)
-            # Gather w+1 words per window; the pad word keeps the last
-            # column in bounds for fully-aligned positions.
-            np.add(word[:, None], span, out=idx)
-            np.take(arr, idx, out=win)
-            target = combined if i == 0 else wnd
-            np.right_shift(win[:, :w], shift[:, None], out=target)
-            # ``64 - shift`` is masked to stay a defined shift; aligned
-            # rows (shift == 0) take no bits from the next word.
-            co = (np.uint64(64) - shift) & np.uint64(63)
-            high = win[:, 1 : w + 1]
-            np.left_shift(high, co[:, None], out=high)
-            high[shift == 0] = 0
-            np.bitwise_or(target, high, out=target)
-            if i:
-                np.bitwise_and(combined, wnd, out=combined)
-        if self.block_bits < 64:
-            combined[:, 0] &= np.uint64(self._block_mask)
         return combined
 
     # ------------------------------------------------------------------
@@ -386,8 +217,7 @@ class RangeBloomFilter(Instrumented):
             self.generation += 1
             self._ones_dirty = True
         bits = nodes.astype(np.uint64) - np.uint64(1)
-        positions = self._positions_array(hash_keys)
-        bitpos = positions * np.uint64(self._unit_bits) + bits[None, :]
+        bitpos = self._family.positions_array(hash_keys) + bits[None, :]
         words = bitpos >> np.uint64(6)
         masks = np.uint64(1) << (bitpos & np.uint64(63))
         for i in range(self.k):
@@ -439,7 +269,6 @@ class RangeBloomFilter(Instrumented):
             self.group_bits,
             self.seed,
             block_bits=self.block_bits,
-            layout=self.layout,
         )
         clone._array[:] = self._array
         clone.generation = self.generation

@@ -45,139 +45,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.bitmap_tree import BitmapTreeCodec
-from repro.core.decompose import decompose, decompose_batch
-from repro.core.rbf import FetchScratch, RangeBloomFilter
+from repro.core import kernels
+from repro.core.decompose import decompose
+from repro.core.rbf import RangeBloomFilter
 from repro.filters.base import RangeFilter, as_key_array
 from repro.hashing.mix64 import seeds_for
 from repro.telemetry.tracing import current_span
 
-__all__ = ["REncoder", "FetchCache", "DEFAULT_RMAX"]
+__all__ = ["REncoder", "DEFAULT_RMAX"]
 
 #: The paper stores at most ``log2(64) + 1`` levels mandatorily because
 #: "filters are more suitable for range queries of R <= 64" (Section III-C).
 DEFAULT_RMAX = 64
-
-
-class FetchCache:
-    """Per-query-batch cache of combined Bitmap Trees.
-
-    Keyed by ``(group, hash prefix)`` — one entry per mini-tree window —
-    so every node probe that lands in an already-fetched mini-tree costs a
-    dict lookup instead of an RBF fetch.  This is what makes the paper's
-    "one memory access per mini-tree" locality real on the batch path: the
-    doubting traversal and adjacent dyadic sub-ranges repeatedly probe the
-    same mini-tree, and all of them share one fetch.
-
-    Entries live in per-group *sorted arrays* (hash prefixes plus a row
-    matrix of BTs) rather than a python dict, so a whole level's worth of
-    lookups is one ``searchsorted`` gather.  The dict-like subset
-    (``get`` / ``__setitem__``) the scalar probe path uses is also
-    provided, so a scalar doubting traversal can transparently reuse a
-    batch's cache.  ``probes`` counts lookups, ``fetches`` counts RBF
-    fetches actually performed; the hit rate is their gap.
-
-    A cache may be *reused across batches* (pass it to
-    ``query_range_many(..., cache=...)``) to keep hot mini-trees warm.
-    Safety against interleaved inserts comes from the RBF's generation
-    counter: the cache records the generation it was filled against
-    (:meth:`ensure`) and drops everything when it no longer matches, so
-    it can never serve a mini-tree from before an insert — which could
-    otherwise manifest as a *false negative* on a freshly inserted key.
-    """
-
-    __slots__ = ("probes", "fetches", "generation", "_groups", "scratch")
-
-    def __init__(self) -> None:
-        #: group -> (sorted hash prefixes, matching rows of combined BTs)
-        self._groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.probes = 0
-        self.fetches = 0
-        #: RBF generation the entries are valid for (None = empty/unbound).
-        self.generation: "int | None" = None
-        #: Reusable fetch_bt_many work buffers — a cache carried across
-        #: batches amortises them, so steady-state probing stops
-        #: allocating the large per-level gather temporaries.
-        self.scratch = FetchScratch()
-
-    def ensure(self, generation: int) -> None:
-        """Bind to an RBF generation, invalidating stale entries.
-
-        Called by the probe paths before any lookup.  First use binds the
-        cache; a later mismatch (the filter was inserted into since the
-        entries were fetched) drops all entries and rebinds.  The
-        counters survive — a stale entry was still fetched once.
-        """
-        if self.generation != generation:
-            if self.generation is not None:
-                self._groups.clear()
-            self.generation = generation
-
-    @property
-    def hits(self) -> int:
-        """Probes answered without touching the RBF."""
-        return self.probes - self.fetches
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of probes served from the cache (0.0 when unused)."""
-        return self.hits / self.probes if self.probes else 0.0
-
-    def __len__(self) -> int:
-        return sum(hps.size for hps, _ in self._groups.values())
-
-    # vectorised interface used by the batch probe path ------------------
-    def lookup(
-        self, group: int, uniq_hps: np.ndarray
-    ) -> tuple["np.ndarray | None", np.ndarray]:
-        """Gather cached BT rows for sorted unique hash prefixes.
-
-        Returns ``(rows, found)``: ``rows[i]`` is valid only where
-        ``found[i]`` is True; ``rows`` is None when the group is empty.
-        Does not touch the counters — callers account whole batches.
-        """
-        entry = self._groups.get(group)
-        if entry is None:
-            return None, np.zeros(uniq_hps.size, dtype=bool)
-        hps, rows = entry
-        pos = np.searchsorted(hps, uniq_hps)
-        pos = np.minimum(pos, hps.size - 1)
-        return rows[pos], hps[pos] == uniq_hps
-
-    def store(
-        self, group: int, new_hps: np.ndarray, new_rows: np.ndarray
-    ) -> None:
-        """Merge freshly fetched (sorted, previously absent) entries."""
-        entry = self._groups.get(group)
-        if entry is None:
-            self._groups[group] = (new_hps, new_rows)
-            return
-        hps = np.concatenate([entry[0], new_hps])
-        rows = np.concatenate([entry[1], new_rows])
-        order = np.argsort(hps, kind="stable")
-        self._groups[group] = (hps[order], rows[order])
-
-    # dict-like interface used by the scalar probe path -----------------
-    def get(self, key: tuple[int, int]) -> "np.ndarray | None":
-        """Scalar lookup of a ``(group, hash_prefix)`` entry (or None)."""
-        self.probes += 1
-        group, hp = key
-        entry = self._groups.get(group)
-        if entry is None:
-            return None
-        hps, rows = entry
-        i = int(np.searchsorted(hps, np.uint64(hp)))
-        if i < hps.size and int(hps[i]) == hp:
-            return rows[i]
-        return None
-
-    def __setitem__(self, key: tuple[int, int], bt: np.ndarray) -> None:
-        self.fetches += 1
-        group, hp = key
-        self.store(
-            group,
-            np.array([hp], dtype=np.uint64),
-            np.asarray(bt, dtype=np.uint64)[None, :],
-        )
 
 
 class REncoder(RangeFilter):
@@ -239,7 +118,6 @@ class REncoder(RangeFilter):
         seed: int = 0,
         max_expansion: int = 4096,
         ancestor_checks: bool = True,
-        layout: str = "flat",
     ) -> None:
         super().__init__(key_bits)
         self.ancestor_checks = ancestor_checks
@@ -285,9 +163,7 @@ class REncoder(RangeFilter):
             k = min(5, max(2, int(0.6931 * bpk / (len(mandatory) + 1))))
         elif not (isinstance(k, int) and k >= 1):
             raise ValueError(f'k must be a positive int or "auto", got {k!r}')
-        self.rbf = RangeBloomFilter(
-            total_bits, k, group_bits, seed, layout=layout
-        )
+        self.rbf = RangeBloomFilter(total_bits, k, group_bits, seed)
         self._build(key_arr, mandatory, optional)
         self._finalise_levels()
 
@@ -403,11 +279,6 @@ class REncoder(RangeFilter):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    #: Cumulative fetch-cache statistics over all batch queries (class
-    #: defaults so deserialized/unioned instances read as zero).
-    cache_probes = 0
-    cache_fetches = 0
-
     def query_range(self, lo: int, hi: int) -> bool:
         """One-sided range membership for ``[lo, hi]`` (Algorithm 3)."""
         self._check_range(lo, hi)
@@ -426,7 +297,7 @@ class REncoder(RangeFilter):
         self,
         prefix: int,
         length: int,
-        cache: "dict[tuple[int, int], np.ndarray] | FetchCache",
+        cache: dict[tuple[int, int], np.ndarray],
     ) -> bool:
         """Verification stage for one sub-range prefix.
 
@@ -452,7 +323,7 @@ class REncoder(RangeFilter):
         self,
         prefix: int,
         length: int,
-        cache: "dict[tuple[int, int], np.ndarray] | FetchCache",
+        cache: dict[tuple[int, int], np.ndarray],
     ) -> bool:
         """Doubting DFS from ``(prefix, length)`` to the deepest level."""
         budget = self.max_expansion
@@ -478,291 +349,39 @@ class REncoder(RangeFilter):
     # ------------------------------------------------------------------
     # batch queries
     # ------------------------------------------------------------------
-    #: Batch queries on this filter can route through the fused kernels
-    #: (repro.core.kernels); storage layers use this to pass ``engine=``.
-    supports_kernels = True
-
-    def _kernel_for(self, cache: "FetchCache | None", engine: "str | None"):
-        """Resolve the fused kernel for one batch call (None = legacy).
-
-        An explicit ``cache=`` selects the legacy FetchCache engine —
-        carrying mini-trees across batches is that engine's feature, so
-        combining it with a kernel backend is a contradiction and raises.
-        Otherwise the backend comes from ``engine=`` / :func:`configure`
-        / ``REPRO_KERNELS`` (see :mod:`repro.core.kernels`).
-        """
-        if cache is not None:
-            if engine not in (None, "legacy"):
-                raise ValueError(
-                    "cache= is a legacy-engine feature; "
-                    f"drop it or pass engine='legacy', not {engine!r}"
-                )
-            return None
-        from repro.core import kernels
-
-        return kernels.get_kernel(self, engine)
-
-    def query_range_many(
-        self,
-        ranges,
-        *,
-        cache: "FetchCache | None" = None,
-        engine: "str | None" = None,
-    ) -> np.ndarray:
+    def query_range_many(self, ranges) -> np.ndarray:
         """Batch :meth:`query_range` — bit-identical, vectorised.
 
-        By default the batch runs on a fused kernel
-        (:mod:`repro.core.kernels`): decomposition, hash mixing and RBF
-        bit tests in one pass, compiled when numba is available.
-        ``engine=`` picks the backend explicitly (``"numba"`` /
-        ``"numpy"`` / ``"legacy"``); passing ``cache=`` selects the
-        legacy engine below.
-
-        On the legacy engine, the whole batch is dyadically decomposed at once
-        (:func:`~repro.core.decompose.decompose_batch`), the ancestor-level
-        checks run level-by-level over flat arrays (one
-        :meth:`~repro.core.rbf.RangeBloomFilter.fetch_bt_many` gather per
-        level for the mini-trees not already in the batch's
-        :class:`FetchCache`), and only the few sub-ranges that survive
-        every ancestor probe fall back to the scalar doubting traversal —
-        which reuses the same cache, so its probes are almost always dict
-        hits.  Accepts any ``(n, 2)``-shaped sequence of ``(lo, hi)``
-        pairs and returns a boolean array.
-
-        ``cache`` lets a caller carry one :class:`FetchCache` across
-        batches (warm mini-trees); omitted, each batch gets a fresh one.
-        A reused cache is generation-checked against the RBF, so an
-        insert between batches invalidates it instead of serving stale
-        mini-trees.
+        Runs on the fused kernel (:mod:`repro.core.kernels`): dyadic
+        decomposition, hash mixing and RBF bit tests in one pass over
+        the whole batch.  Accepts any ``(n, 2)``-shaped sequence of
+        ``(lo, hi)`` pairs and returns a boolean array.
         """
         los, his = self._split_ranges(ranges)
-        n = los.size
-        answers = np.zeros(n, dtype=bool)
-        if n == 0:
-            return answers
+        if los.size == 0:
+            return np.zeros(0, dtype=bool)
         top = (1 << self.key_bits) - 1
         if (los > his).any() or int(his.max()) > top:
             raise ValueError(
                 f"invalid range in batch for {self.key_bits}-bit keys"
             )
-        kernel = self._kernel_for(cache, engine)
-        if kernel is not None:
-            return kernel.range_many(los, his)
-        cache = cache if cache is not None else FetchCache()
-        qidx, prefixes, lengths = decompose_batch(los, his, self.key_bits)
-        whole = lengths == 0
-        if whole.any():
-            answers[qidx[whole]] = self.n_keys > 0
-            keep = ~whole
-            qidx, prefixes, lengths = qidx[keep], prefixes[keep], lengths[keep]
-        alive = np.ones(lengths.size, dtype=bool)
-        if self.ancestor_checks and lengths.size:
-            max_len = int(lengths.max())
-            for level in self._stored_sorted:
-                if level >= max_len:
-                    break
-                sel = np.flatnonzero(alive & (lengths > level))
-                if sel.size == 0:
-                    continue
-                ancestors = prefixes[sel] >> (
-                    lengths[sel] - level
-                ).astype(np.uint64)
-                ok = self._probe_many(ancestors, level, cache)
-                alive[sel[~ok]] = False
-        # Sub-ranges below everything stored are decided by their
-        # ancestors alone.
-        deep = lengths > self._deepest
-        answers[qidx[alive & deep]] = True
-        undecided = np.flatnonzero(alive & ~deep)
-        if undecided.size:
-            self._descend_many(
-                qidx[undecided],
-                prefixes[undecided],
-                lengths[undecided],
-                answers,
-                cache,
-            )
-        self._absorb_cache_stats(cache)
-        return answers
+        return kernels.get_kernel(self).range_many(los, his)
 
-    def _descend_many(
-        self,
-        qidx: np.ndarray,
-        prefixes: np.ndarray,
-        lengths: np.ndarray,
-        answers: np.ndarray,
-        cache: FetchCache,
-    ) -> None:
-        """Doubting traversal for a batch of sub-ranges, level-synchronous.
-
-        The scalar :meth:`_descend` answers True iff either some
-        root-to-deepest path survives every stored-level probe or the
-        expansion budget is exhausted — both conditions independent of
-        traversal order.  This runs the same traversal breadth-first over
-        the whole batch: one vectorised probe per level for the entire
-        frontier, expansion by ``gap`` bits to the next stored level, and
-        a per-sub-range budget identical to the scalar path's.  Updates
-        ``answers`` in place (True only — a sub-range can never veto its
-        query).
-        """
-        m = qidx.size
-        deepest = self._deepest
-        budget = np.full(m, self.max_expansion, dtype=np.int64)
-        done = np.zeros(m, dtype=bool)
-        # Frontier nodes bucketed by level; initial pieces enter at their
-        # own length, expansions land on the next stored level.
-        pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for level in np.unique(lengths):
-            sel = np.flatnonzero(lengths == level)
-            pending[int(level)] = [(sel, prefixes[sel])]
-        for level in range(int(lengths.min()), deepest + 1):
-            bucket = pending.pop(level, None)
-            if not bucket:
-                continue
-            pid = np.concatenate([b[0] for b in bucket])
-            pfx = np.concatenate([b[1] for b in bucket])
-            live = ~done[pid] & ~answers[qidx[pid]]
-            pid, pfx = pid[live], pfx[live]
-            if pid.size == 0:
-                continue
-            if self._stored[level]:
-                ok = self._probe_many(pfx, level, cache)
-                pid, pfx = pid[ok], pfx[ok]
-                if pid.size == 0:
-                    continue
-            if level >= deepest:
-                done[pid] = True
-                answers[qidx[pid]] = True
-                continue
-            nxt = self._next_stored[level]
-            gap = nxt - level
-            # Clamp the per-node cost: anything beyond the budget triggers
-            # the same conservative True the scalar path returns.
-            cost = min(1 << gap, self.max_expansion + 1)
-            np.subtract.at(budget, pid, cost)
-            exhausted = budget[pid] < 0
-            if exhausted.any():
-                hit = pid[exhausted]
-                done[hit] = True
-                answers[qidx[hit]] = True
-                pid, pfx = pid[~exhausted], pfx[~exhausted]
-                if pid.size == 0:
-                    continue
-            ext = np.arange(1 << gap, dtype=np.uint64)
-            children = (pfx[:, None] << np.uint64(gap)) | ext[None, :]
-            pending.setdefault(nxt, []).append(
-                (np.repeat(pid, 1 << gap), children.ravel())
-            )
-
-    def query_point_many(
-        self,
-        keys,
-        *,
-        cache: "FetchCache | None" = None,
-        engine: "str | None" = None,
-    ) -> np.ndarray:
+    def query_point_many(self, keys) -> np.ndarray:
         """Batch :meth:`query_point` — bit-identical, vectorised.
 
-        Routed through the fused kernels exactly like
-        :meth:`query_range_many` (``engine=`` picks the backend, an
-        explicit ``cache=`` selects the legacy engine).  On the legacy
-        engine, a point query probes one stored level at a time along the
-        key's prefix path, so the whole batch runs level-by-level with no
-        scalar fallback at all; ``cache`` carries a generation-checked
-        :class:`FetchCache` across batches.
+        Runs on the fused kernel like :meth:`query_range_many`; the
+        kernel's point plan is variant-aware (see
+        :class:`~repro.core.kernels.fused.KernelTables`).
         """
         keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-        n = keys.size
-        if n == 0:
+        if keys.size == 0:
             return np.zeros(0, dtype=bool)
         if self.key_bits < 64 and int(keys.max()) >= (1 << self.key_bits):
             raise ValueError(
                 f"key outside {self.key_bits}-bit domain in batch"
             )
-        kernel = self._kernel_for(cache, engine)
-        if kernel is not None:
-            return kernel.point_many(keys)
-        cache = cache if cache is not None else FetchCache()
-        alive = np.ones(n, dtype=bool)
-        length = self.key_bits
-        if self.ancestor_checks:
-            for level in self._stored_sorted:
-                if level >= length:
-                    break
-                sel = np.flatnonzero(alive)
-                if sel.size == 0:
-                    break
-                ok = self._probe_many(
-                    keys[sel] >> np.uint64(length - level), level, cache
-                )
-                alive[sel[~ok]] = False
-        # The doubting stage degenerates: the key level is the deepest
-        # possible, so a single stored-level probe (if any) decides.
-        if length <= self._deepest and self._stored[length]:
-            sel = np.flatnonzero(alive)
-            if sel.size:
-                ok = self._probe_many(keys[sel], length, cache)
-                alive[sel[~ok]] = False
-        self._absorb_cache_stats(cache)
-        return alive
-
-    def _probe_many(
-        self, prefixes: np.ndarray, level: int, cache: FetchCache
-    ) -> np.ndarray:
-        """Vectorised :meth:`_probe` for same-level prefixes.
-
-        All prefixes of one level share a group/depth, so the batch
-        reduces to: dedupe the hash prefixes, gather the mini-trees not in
-        the cache with one :meth:`fetch_bt_many`, then read every node bit
-        with one vectorised shift.  Bit-identical to the scalar probe,
-        including the mirror-root zeroing.
-        """
-        group, depth, hp_len = self._locate(level)
-        cache.ensure(self.rbf.generation)
-        n = prefixes.size
-        cache.probes += n
-        sp = current_span()
-        if sp is not None:
-            sp.add("filter_probes", n)
-            sp.add(f"probes_l{level}", n)
-        if hp_len:
-            hp = prefixes >> np.uint64(depth)
-        else:
-            hp = np.zeros(n, dtype=np.uint64)
-        uniq, inverse = np.unique(hp, return_inverse=True)
-        cached_rows, found = cache.lookup(group, uniq)
-        if cached_rows is None:
-            bts = np.empty((uniq.size, self.codec.words), dtype=np.uint64)
-        else:
-            bts = cached_rows  # rows valid where found; rest filled below
-        if not found.all():
-            missing = np.flatnonzero(~found)
-            cache.fetches += missing.size
-            if sp is not None:
-                sp.add("cache_hits", int(uniq.size - missing.size))
-            fetched = self.rbf.fetch_bt_many(
-                uniq[missing] ^ np.uint64(self._group_tags[group]),
-                out=cache.scratch.out(missing.size, self.codec.words),
-                scratch=cache.scratch,
-            )
-            if hp_len and self._stored[hp_len]:
-                # Mirror root bit 0: the hash prefix was never inserted,
-                # so the whole mini-tree is genuinely absent.
-                dead = (fetched[:, 0] & np.uint64(1)) == 0
-                fetched[dead] = 0
-            bts[missing] = fetched
-            # The cache keeps rows across calls while ``fetched`` is a
-            # reused scratch view — store a snapshot, not the buffer.
-            cache.store(group, uniq[missing], fetched.copy())
-        elif sp is not None:
-            sp.add("cache_hits", int(uniq.size))
-        node = np.uint64(1 << depth) | (
-            prefixes & np.uint64((1 << depth) - 1)
-        )
-        bit = node - np.uint64(1)
-        word = (bit >> np.uint64(6)).astype(np.intp)
-        sel = bts[inverse, word]
-        return ((sel >> (bit & np.uint64(63))) & np.uint64(1)).astype(bool)
+        return kernels.get_kernel(self).point_many(keys)
 
     @staticmethod
     def _split_ranges(ranges) -> tuple[np.ndarray, np.ndarray]:
@@ -779,25 +398,6 @@ class REncoder(RangeFilter):
             )
         return arr[:, 0].copy(), arr[:, 1].copy()
 
-    def _absorb_cache_stats(self, cache: FetchCache) -> None:
-        """Drain a batch cache's counters into the cumulative statistics.
-
-        Draining (not just reading) keeps the totals exact when the same
-        cache object is reused across batches — its entries stay warm,
-        but each probe/fetch is folded in exactly once.
-        """
-        self.cache_probes += cache.probes
-        self.cache_fetches += cache.fetches
-        cache.probes = 0
-        cache.fetches = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fetch-cache hit rate over all batch queries since the last reset."""
-        if not self.cache_probes:
-            return 0.0
-        return (self.cache_probes - self.cache_fetches) / self.cache_probes
-
     def _probe(
         self,
         prefix: int,
@@ -806,8 +406,6 @@ class REncoder(RangeFilter):
     ) -> bool:
         """Membership bit for a stored-level prefix (Algorithm 4)."""
         group, depth, hp_len = self._locate(level)
-        if isinstance(cache, FetchCache):
-            cache.ensure(self.rbf.generation)
         sp = current_span()
         if sp is not None:
             sp.add("filter_probes", 1)
@@ -960,7 +558,6 @@ class REncoder(RangeFilter):
             and self.rbf.k == other.rbf.k
             and self.rbf.seed == other.rbf.seed
             and self.rbf.bits == other.rbf.bits
-            and self.rbf.layout == other.rbf.layout
             and self.rmax == other.rmax
         )
         if not same:
@@ -1002,8 +599,6 @@ class REncoder(RangeFilter):
 
     def reset_counters(self) -> None:
         self.rbf.reset_counters()
-        self.cache_probes = 0
-        self.cache_fetches = 0
 
     @property
     def stored_levels(self) -> list[int]:
@@ -1011,7 +606,7 @@ class REncoder(RangeFilter):
         return list(self._stored_sorted)
 
     # Pull-based gauges (see repro.telemetry.instrument): the adaptive
-    # construction's outcome plus the cumulative probe/cache statistics.
+    # construction's outcome plus the cumulative probe count.
     _TELEMETRY = (
         "size_in_bits",
         "n_keys",
@@ -1020,9 +615,6 @@ class REncoder(RangeFilter):
         "deepest_level",
         "shallowest_level",
         "probe_count",
-        "cache_probes",
-        "cache_fetches",
-        "cache_hit_rate",
     )
 
     @property

@@ -22,13 +22,10 @@ v2 layout (all integers little-endian)::
 Two-Stage float filter) bit-exactly: a loaded filter answers every query
 identically to the original, which the tests verify.
 
-Filters built on the cache-blocked RBF layout
-(:class:`~repro.core.kernels.layout.BlockedRBF`) are written as a v3
-record: same framing and CRC trailer as v2, plus a ``layout`` metadata
-field that drives placement reconstruction.  The version bump is the
-record type — readers predating the blocked layout reject v3 blobs
-instead of rebuilding a filter whose bit positions they would
-misinterpret.  Flat filters keep writing byte-identical v2 blobs.
+Every RBF places its ``k`` windows independently at bit-granular
+offsets (the paper's layout), so the record carries no layout field.
+Version 3 and any ``layout`` metadata other than ``"flat"`` are
+rejected: they name a placement this reader would misinterpret.
 
 ``loads`` is strict: every field is bounds-checked *before* it is used,
 so hostile or damaged input raises a typed error from
@@ -64,9 +61,6 @@ __all__ = ["dumps", "loads", "checksum", "MAGIC", "VERSION"]
 
 MAGIC = b"RENC"
 VERSION = 2
-#: Record type for filters on the blocked RBF layout (v2 framing + CRC).
-VERSION_BLOCKED = 3
-_LAYOUTS = ("flat", "blocked")
 
 #: group_bits bound mirrors RangeBloomFilter's constructor check.
 _MAX_GROUP_BITS = 9
@@ -107,7 +101,6 @@ def dumps(filt: REncoder) -> bytes:
             f"cannot serialize {type(filt).__name__}; expected one of "
             f"{sorted(_CLASSES)}"
         )
-    version = VERSION
     meta = {
         "class": type(filt).__name__,
         "key_bits": filt.key_bits,
@@ -126,15 +119,12 @@ def dumps(filt: REncoder) -> bytes:
     for attr in ("l_kk", "l_kq", "t_exp", "exp_bits", "offset", "precision"):
         if hasattr(filt, attr):
             meta[attr] = getattr(filt, attr)
-    if filt.rbf.layout != "flat":
-        meta["layout"] = filt.rbf.layout
-        version = VERSION_BLOCKED
     meta_blob = json.dumps(meta, sort_keys=True).encode()
     payload = filt.rbf._array.astype("<u8").tobytes()
     body = b"".join(
         [
             MAGIC,
-            struct.pack("<HI", version, len(meta_blob)),
+            struct.pack("<HI", VERSION, len(meta_blob)),
             meta_blob,
             struct.pack("<I", len(payload)),
             payload,
@@ -237,10 +227,9 @@ def _validate_meta(meta: dict) -> type:
             f"metadata field 'precision' must be 'single' or 'double', "
             f"got {meta['precision']!r}"
         )
-    if meta.get("layout", "flat") not in _LAYOUTS:
+    if meta.get("layout", "flat") != "flat":
         raise FilterCorruptionError(
-            f"metadata field 'layout' must be one of {_LAYOUTS}, "
-            f"got {meta['layout']!r}"
+            f"metadata field 'layout' must be 'flat', got {meta['layout']!r}"
         )
     return cls
 
@@ -272,10 +261,9 @@ def loads(data: bytes) -> REncoder:
             f"{data[:4]!r}, expected {MAGIC!r})"
         )
     version, meta_len = struct.unpack_from("<HI", data, 4)
-    if version not in (1, VERSION, VERSION_BLOCKED):
+    if version not in (1, VERSION):
         raise FilterCorruptionError(
-            f"unsupported version {version} "
-            f"(supported: 1, {VERSION}, {VERSION_BLOCKED})"
+            f"unsupported version {version} (supported: 1, {VERSION})"
         )
     offset = 10
     _need(data, offset, meta_len, "metadata")
@@ -313,14 +301,6 @@ def loads(data: bytes) -> REncoder:
         )
 
     cls = _validate_meta(meta)
-    layout = meta.get("layout", "flat")
-    # Version <-> record-type coupling: a blocked layout claim in a v2
-    # blob (or a v3 blob without one) means the record was tampered with
-    # or mis-written — the bit positions would be misinterpreted.
-    if (layout != "flat") != (version == VERSION_BLOCKED):
-        raise FilterCorruptionError(
-            f"layout {layout!r} inconsistent with record version {version}"
-        )
     expected = _expected_payload_bytes(meta["bits"], meta["group_bits"])
     if payload_len != expected:
         raise FilterCorruptionError(
@@ -356,8 +336,7 @@ def loads(data: bytes) -> REncoder:
     filt._zero_bt = np.zeros(filt.codec.words, dtype=np.uint64)
     filt._zero_bt.setflags(write=False)
     filt.rbf = RangeBloomFilter(
-        meta["bits"], meta["k"], meta["group_bits"], meta["seed"],
-        layout=layout,
+        meta["bits"], meta["k"], meta["group_bits"], meta["seed"]
     )
     if len(words) != len(filt.rbf._array):
         raise FilterCorruptionError(

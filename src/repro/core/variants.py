@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.rencoder import FetchCache, REncoder
+from repro.core.rencoder import REncoder
 from repro.core.segment_tree import max_key_lcp, max_key_query_lcp
 from repro.filters.base import as_key_array
 
@@ -95,6 +95,8 @@ class REncoderPO(REncoder):
     checks every stored level *inside that one Bitmap Tree* for free.
     Ancestor levels in other mini-trees are skipped, which is where the
     (slightly) worse FPR comes from and why the probe count is minimal.
+    Batch point queries need no override: the fused kernel's point plan
+    probes the same levels (see ``KernelTables._plan_point_levels``).
     """
 
     name = "REncoderPO"
@@ -113,45 +115,6 @@ class REncoderPO(REncoder):
             if not self._probe(prefix, level, cache):
                 return False
         return True
-
-    def query_point_many(
-        self,
-        keys,
-        *,
-        cache: "FetchCache | None" = None,
-        engine: "str | None" = None,
-    ) -> np.ndarray:
-        """Batch :meth:`query_point`: one vectorised probe per stored
-        level inside the deepest mini-tree.  Routed through the fused
-        kernels like the base class (their point plan is PO-aware);
-        an explicit ``cache=`` selects the legacy FetchCache engine."""
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-        n = keys.size
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        if self.key_bits < 64 and int(keys.max()) >= (1 << self.key_bits):
-            raise ValueError(
-                f"key outside {self.key_bits}-bit domain in batch"
-            )
-        kernel = self._kernel_for(cache, engine)
-        if kernel is not None:
-            return kernel.point_many(keys)
-        deepest = self._deepest
-        group_start = ((deepest - 1) // self.group_bits) * self.group_bits
-        cache = cache if cache is not None else FetchCache()
-        alive = np.ones(n, dtype=bool)
-        for level in self._stored_sorted:
-            if level <= group_start or level > deepest:
-                continue
-            sel = np.flatnonzero(alive)
-            if sel.size == 0:
-                break
-            ok = self._probe_many(
-                keys[sel] >> np.uint64(self.key_bits - level), level, cache
-            )
-            alive[sel[~ok]] = False
-        self._absorb_cache_stats(cache)
-        return alive
 
 
 def build_variant(

@@ -30,13 +30,47 @@ from repro.telemetry.instrument import Instrumented
 
 __all__ = ["RangeFilter", "as_key_array"]
 
+_KEY_DOMAIN = 1 << 64
+
 
 def as_key_array(keys: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Normalise a key collection to a sorted, de-duplicated uint64 array."""
-    arr = np.asarray(list(keys) if not isinstance(keys, np.ndarray) else keys)
-    if arr.size and arr.dtype.kind not in "ui":
+    """Normalise a key collection to a sorted, de-duplicated uint64 array.
+
+    Keys must be integers in ``[0, 2^64)``: anything else raises
+    ``TypeError`` (not an integer) or ``ValueError`` (out of range)
+    instead of being wrapped or rounded by an implicit numpy cast.
+    """
+    if isinstance(keys, np.ndarray):
+        items, arr = None, keys
+    else:
+        items = list(keys)
+        arr = np.asarray(items)
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.uint64)
+    kind = arr.dtype.kind
+    if kind == "O" or (kind == "f" and items is not None):
+        # numpy infers float64 for Python ints straddling 2^63 and
+        # object for ints past 64 bits: convert the exact values.
+        arr = _exact_uint64(arr.tolist() if items is None else items)
+    elif kind == "i":
+        lowest = int(arr.min())
+        if lowest < 0:
+            raise ValueError(f"key {lowest} outside [0, 2^64)")
+    elif kind != "u":
         raise TypeError(f"keys must be integers, got dtype {arr.dtype}")
     return np.unique(arr.astype(np.uint64, copy=False))
+
+
+def _exact_uint64(items: list) -> np.ndarray:
+    """uint64 array of Python/numpy integers, range-checked one by one."""
+    for key in items:
+        if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+            raise TypeError(
+                f"keys must be integers, got {type(key).__name__} {key!r}"
+            )
+        if not 0 <= key < _KEY_DOMAIN:
+            raise ValueError(f"key {key} outside [0, 2^64)")
+    return np.array([int(key) for key in items], dtype=np.uint64)
 
 
 class RangeFilter(Instrumented, abc.ABC):
@@ -145,27 +179,16 @@ class RangeFilter(Instrumented, abc.ABC):
                 f"invalid range [{lo}, {hi}] for {self.key_bits}-bit keys"
             )
 
-    def query_many(
-        self,
-        ranges: Sequence[tuple[int, int]],
-        *,
-        engine: "str | None" = None,
-    ) -> list[bool]:
+    def query_many(self, ranges: Sequence[tuple[int, int]]) -> list[bool]:
         """Answer a batch of range queries.
 
         Dispatches to the subclass's vectorised ``query_range_many`` fast
         path when one is defined (REncoder and its variants); otherwise
         falls back to the scalar loop.  Answers are identical either way
         — the fast path is property-tested to be bit-identical.
-
-        ``engine`` selects the batch kernel backend on filters that
-        support fused kernels (``supports_kernels``, the REncoder family
-        — see :mod:`repro.core.kernels`); other filters ignore it.
         """
         fast = getattr(self, "query_range_many", None)
         if fast is not None:
-            if getattr(self, "supports_kernels", False):
-                return [bool(a) for a in fast(ranges, engine=engine)]
             return [bool(a) for a in fast(ranges)]
         return [self.query_range(int(lo), int(hi)) for lo, hi in ranges]
 

@@ -100,9 +100,6 @@ class WallClockRule(Rule):
             "bench",
             "examples",
             "cli.py",
-            # The kernels' bench harness hook is measurement code; the
-            # kernels themselves stay on the simulated clock discipline.
-            "kernels/bench.py",
         )
 
     def applies_to(self, path: str) -> bool:

@@ -175,13 +175,6 @@ class FilterService:
         of ``service.registry`` shows service counters, latency
         histograms, storage I/O counters and live queue/breaker gauges
         together.
-    kernel_backend:
-        Batch kernel backend for the filters the storage tier consults
-        (``"auto"`` / ``"numba"`` / ``"numpy"`` / ``"legacy"`` — see
-        :mod:`repro.core.kernels`).  None (default) defers to the
-        process default (``REPRO_KERNELS`` or ``auto``).  Worker threads
-        share each filter's kernel; kernels keep per-thread scratch, so
-        this is safe at any worker count.
     """
 
     def __init__(
@@ -194,15 +187,9 @@ class FilterService:
         default_deadline_ns: "int | None" = DEFAULT_DEADLINE_NS,
         breaker: "CircuitBreaker | None" = None,
         registry: "MetricsRegistry | None" = None,
-        kernel_backend: "str | None" = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if kernel_backend is not None:
-            from repro.core import kernels
-
-            kernels.resolve_backend(kernel_backend)  # validates the name
-        self.kernel_backend = kernel_backend
         if shed_policy not in SHED_POLICIES:
             raise ValueError(
                 f"shed_policy must be one of {SHED_POLICIES}, "
@@ -497,9 +484,7 @@ class FilterService:
             lo, hi = req.payload  # type: ignore[misc]
             return bool(self.lsm.range_query(lo, hi, view=view))
         if req.kind == "range_batch":
-            rows = self.lsm.range_query_many(
-                req.payload, view=view, engine=self.kernel_backend
-            )
+            rows = self.lsm.range_query_many(req.payload, view=view)
             return [bool(r) for r in rows]
         if req.kind == "point":
             found, _ = self.lsm.get(req.payload, view=view)  # type: ignore[arg-type]

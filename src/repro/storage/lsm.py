@@ -336,7 +336,6 @@ class LSMTree:
         keys,
         *,
         view: "ReadView | None" = None,
-        engine: "str | None" = None,
     ) -> list[tuple[bool, Any]]:
         """Batch :meth:`get`: memtables first, then per-table key batches.
 
@@ -344,8 +343,7 @@ class LSMTree:
         vectorised filter batch per table, so each key consults exactly
         the tables the scalar loop would (it stops at its first hit) and
         the ``env.read`` accounting matches query-for-query.  Tombstones
-        read as not found, as in :meth:`get`.  ``engine`` selects the
-        filters' batch kernel backend (:mod:`repro.core.kernels`).
+        read as not found, as in :meth:`get`.
         """
         view = view if view is not None else self.read_view()
         keys = [int(k) for k in keys]
@@ -364,9 +362,7 @@ class LSMTree:
         for table in view.tables:
             if not unresolved:
                 break
-            answers = table.query_point_many(
-                [keys[i] for i in unresolved], engine=engine
-            )
+            answers = table.query_point_many([keys[i] for i in unresolved])
             still: list[int] = []
             for i, (hit, value) in zip(unresolved, answers):
                 if hit:
@@ -385,15 +381,13 @@ class LSMTree:
         ranges,
         *,
         view: "ReadView | None" = None,
-        engine: "str | None" = None,
     ) -> list[list[tuple[int, Any]]]:
         """Batch :meth:`range_query`: one filter batch per SSTable.
 
         Every range consults every table (as the scalar path does), but
         each table's filter sees the whole batch at once through its
         vectorised path.  Results and ``env.read`` accounting are
-        identical to the scalar loop.  ``engine`` selects the filters'
-        batch kernel backend (:mod:`repro.core.kernels`).
+        identical to the scalar loop.
         """
         view = view if view is not None else self.read_view()
         pairs = [(int(lo), int(hi)) for lo, hi in ranges]
@@ -410,7 +404,7 @@ class LSMTree:
                 )
             # Oldest first so newer versions overwrite.
             for table in reversed(view.tables):
-                table_rows = table.query_range_many(pairs, engine=engine)
+                table_rows = table.query_range_many(pairs)
                 for acc, items in zip(results, table_rows):
                     acc.update(items)
             for memtable in reversed(view.memtables):

@@ -164,18 +164,14 @@ class SSTable:
                 (int(self.keys[i]), self.values[i]) for i in range(left, right)
             ]
 
-    def query_point_many(
-        self, keys, *, engine: "str | None" = None
-    ) -> list[tuple[bool, Any]]:
+    def query_point_many(self, keys) -> list[tuple[bool, Any]]:
         """Batch :meth:`query_point` over an array of keys.
 
         The filter is consulted once for the whole batch via its
         vectorised ``query_point_many`` path; every key that passes the
         fence keys and the filter pays exactly the ``env.read`` the
         scalar path would (same ``useful`` flag, same block identity),
-        so I/O accounting is identical query-for-query.  ``engine``
-        selects the kernel backend on filters that support fused batch
-        kernels; others ignore it.
+        so I/O accounting is identical query-for-query.
         """
         keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
         out: list[tuple[bool, Any]] = [(False, None)] * keys.size
@@ -187,10 +183,7 @@ class SSTable:
         )
         filt = self.filter  # one read: a concurrent swap can't tear it
         if cand.size and filt is not None:
-            if getattr(filt, "supports_kernels", False):
-                answers = filt.query_point_many(keys[cand], engine=engine)
-            else:
-                answers = filt.query_point_many(keys[cand])
+            answers = filt.query_point_many(keys[cand])
             cand = cand[np.asarray(answers, dtype=bool)]
         if cand.size == 0:
             return out
@@ -206,19 +199,14 @@ class SSTable:
         return out
 
     def query_range_many(
-        self,
-        ranges: Sequence[tuple[int, int]],
-        *,
-        engine: "str | None" = None,
+        self, ranges: Sequence[tuple[int, int]]
     ) -> list[list[tuple[int, Any]]]:
         """Batch :meth:`query_range`: one filter batch, per-range reads.
 
         Returns one ascending item list per input range.  ``env.read``
         accounting matches the scalar loop exactly: ranges rejected by
         the fence keys or the filter cost nothing; the rest pay one read
-        with the same ``useful`` flag and block identity.  ``engine``
-        selects the kernel backend on filters that support fused batch
-        kernels; others ignore it.
+        with the same ``useful`` flag and block identity.
         """
         pairs = [(int(lo), int(hi)) for lo, hi in ranges]
         out: list[list[tuple[int, Any]]] = [[] for _ in pairs]
@@ -240,7 +228,7 @@ class SSTable:
                     fence_passed=len(cand),
                 )
             if cand and filt is not None:
-                ok = filt.query_many([pairs[q] for q in cand], engine=engine)
+                ok = filt.query_many([pairs[q] for q in cand])
                 cand = [q for q, good in zip(cand, ok) if good]
             if sp is not None:
                 sp.set(filter_passed=len(cand))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decompose import decompose, decompose_batch
-from repro.core.rencoder import FetchCache, REncoder
+from repro.core.rencoder import REncoder
 from repro.core.variants import REncoderPO, REncoderSE, REncoderSS
 from repro.storage.env import StorageEnv
 from repro.storage.lsm import LSMTree
@@ -127,38 +127,6 @@ def test_decompose_batch_full_64bit_domain():
     assert list(zip(prefixes.tolist(), lengths.tolist())) == [(0, 0)]
 
 
-def test_fetch_cache_counts_and_scalar_interface():
-    cache = FetchCache()
-    assert cache.hit_rate == 0.0
-    bt = np.arange(2, dtype=np.uint64)
-    assert cache.get((1, 42)) is None
-    cache[(1, 42)] = bt
-    hit = cache.get((1, 42))
-    assert (hit == bt).all()
-    assert (cache.probes, cache.fetches, cache.hits) == (2, 1, 1)
-    assert len(cache) == 1
-    # batch interface sees the scalar insert and vice versa
-    rows, found = cache.lookup(1, np.array([7, 42], dtype=np.uint64))
-    assert found.tolist() == [False, True]
-    assert (rows[1] == bt).all()
-    cache.store(1, np.array([7], dtype=np.uint64),
-                np.array([[9, 9]], dtype=np.uint64))
-    assert cache.get((1, 7)) is not None
-
-
-def test_batch_query_reports_cache_hit_rate():
-    rng = np.random.default_rng(0)
-    keys = np.unique(rng.integers(0, TOP, 500, dtype=np.uint64))
-    filt = _build(REncoder, keys.tolist(), 8)
-    base = int(rng.integers(0, TOP - 4096))
-    adjacent = [(base + 64 * i, base + 64 * i + 63) for i in range(32)]
-    filt.reset_counters()
-    filt.query_range_many(adjacent, cache=FetchCache())
-    assert filt.cache_hit_rate > 0.0
-    filt.reset_counters()
-    assert filt.cache_hit_rate == 0.0
-
-
 def _fresh_tree(seed=11):
     env = StorageEnv()
     tree = LSMTree(
@@ -200,59 +168,35 @@ def test_lsm_range_query_many_matches_scalar_with_identical_io():
     assert e1.stats == e2.stats
 
 
-class TestFetchCacheReuse:
-    """A FetchCache reused across batches must never serve stale
-    mini-trees: it records the RBF generation it was filled against and
-    clears itself when the filter has been mutated since (the service's
-    batch path reuses caches across requests, so staleness would be a
-    false negative — the one error class this codebase forbids)."""
+class TestInsertThenQuery:
+    """A key inserted between two batches must answer True in the second.
 
-    def _enc(self, keys):
-        return REncoder(
+    The fused kernel is cached per filter, but it reads the RBF array at
+    call time, so an insert can never leave a later batch looking at
+    stale bits — which would be a false negative, the one error class
+    this codebase forbids.  Covers the range and point paths on the base
+    filter and on PO (whose point plan differs).
+    """
+
+    def _enc(self, cls, keys):
+        return cls(
             np.array(sorted(keys), dtype=np.uint64),
             64 * len(keys),
             key_bits=KEY_BITS,
         )
 
-    def test_reused_cache_sees_post_insert_keys(self):
-        enc = self._enc([100])
-        cache = FetchCache()
-        # Fill the cache with mini-trees proving 200 is absent...
-        assert not enc.query_range_many([(200, 200)], cache=cache)[0]
-        # ...then mutate the filter and ask again through the same cache.
+    @pytest.mark.parametrize("cls", [REncoder, REncoderPO])
+    def test_post_insert_key_visible_to_next_range_batch(self, cls):
+        enc = self._enc(cls, [100])
+        assert not enc.query_range_many([(200, 200), (100, 100)])[0]
         enc.insert(200)
-        assert enc.query_range_many([(200, 200)], cache=cache)[0], (
-            "stale cached mini-tree produced a false negative"
-        )
-        assert enc.query_point_many([200], cache=cache)[0]
+        assert enc.query_range_many([(200, 200), (100, 100)]).all()
+        assert enc.query_range(200, 200)
 
-    def test_cache_kept_while_generation_unchanged(self):
-        enc = self._enc([100, 5000])
-        cache = FetchCache()
-        enc.query_range_many([(100, 100), (5000, 5000)], cache=cache)
-        filled = len(cache._groups)
-        enc.query_range_many([(100, 100), (5000, 5000)], cache=cache)
-        assert len(cache._groups) >= filled  # no spurious invalidation
-        assert cache.generation == enc.rbf.generation
-
-    def test_scalar_probe_validates_cache_too(self):
-        """The scalar verify path (``_probe``) also checks generation
-        when handed a long-lived FetchCache (the public scalar API uses
-        a per-call dict, so only this internal path can go stale)."""
-        enc = self._enc([100])
-        cache = FetchCache()
-        assert not enc._verify(300, KEY_BITS, cache)
+    @pytest.mark.parametrize("cls", [REncoder, REncoderPO])
+    def test_post_insert_key_visible_to_next_point_batch(self, cls):
+        enc = self._enc(cls, [100])
+        assert not enc.query_point_many([300, 100])[0]
         enc.insert(300)
-        assert enc._verify(300, KEY_BITS, cache)
-
-    def test_absorb_drains_cache_stats(self):
-        """Folding cache stats into the filter zeroes them, so a reused
-        cache never double-counts probes/fetches across batches."""
-        enc = self._enc([100, 900])
-        cache = FetchCache()
-        enc.reset_counters()
-        enc.query_range_many([(100, 100)], cache=cache)
-        first = enc.probe_count
-        assert cache.probes == 0 and cache.fetches == 0
-        enc.query_range_many([(900, 900)], cache=cache)
-        assert enc.probe_count > first  # second batch added, not doubled
+        assert enc.query_point_many([300, 100]).all()
+        assert enc.query_point(300)

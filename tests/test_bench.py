@@ -18,6 +18,7 @@ from repro.bench.experiments import (
 from repro.bench.metrics import measure_fpr, run_filter, run_point_filter
 from repro.bench.registry import FILTER_NAMES, build_filter
 from repro.bench.tables import format_series, format_table
+from repro.filters.base import as_key_array
 from repro.workloads.datasets import generate_keys
 from repro.workloads.queries import uniform_range_queries
 
@@ -42,6 +43,33 @@ class TestRegistry:
         # One-sidedness holds for each registered filter.
         for k in keys[:30]:
             assert filt.query_range(int(k), int(k))
+
+    @pytest.mark.parametrize("name", ["REncoder", "Bloom", "Rosetta"])
+    def test_python_int_keys_straddling_2_63(self, name):
+        # numpy infers float64 for such a list; the keys must survive
+        # exactly, not be rounded or rejected for their inferred dtype.
+        keys = [3, 1, 2**63 - 1, 2**63 + 5, 2**64 - 1, 2**63 + 5]
+        filt = build_filter(name, keys, 16.0)
+        for k in keys:
+            assert filt.query_point(k)
+            assert filt.query_range(k, k)
+
+    @pytest.mark.parametrize("bad", [[-1, 3], [2**64], [3, 2**64 + 7]])
+    def test_out_of_domain_keys_raise_value_error(self, bad):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+            as_key_array(bad)
+        with pytest.raises(ValueError):
+            build_filter("REncoder", bad, 16.0)
+        if not any(k >= 2**64 for k in bad):
+            with pytest.raises(ValueError):
+                as_key_array(np.array(bad, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "bad", [[1.5, 2], [2**63 + 5, 0.5], np.array([1.0, 2.0]), ["7"]]
+    )
+    def test_non_integer_keys_raise_type_error(self, bad):
+        with pytest.raises(TypeError):
+            as_key_array(bad)
 
     def test_unknown_filter(self, keys):
         with pytest.raises(ValueError):

@@ -1,69 +1,31 @@
-"""Property tests for the fused batch kernels (DESIGN.md §11).
+"""Property tests for the fused batch kernel (DESIGN.md §11).
 
-The kernel package's contract is *bit-identical answers at native
-speed*: for every REncoder variant, RBF layout and backend, the fused
-engines must return exactly what the legacy FetchCache engine and the
-scalar ``query_range`` loop return — including on the edge geometries
-(width-1 ranges, the whole domain, the top key, an empty filter).
-Hypothesis searches key sets and query batches; dedicated tests pin the
-no-false-negative invariant per backend, the blocked-layout serialize
-round-trip with its corruption negatives, the backend-selection
-precedence, and the FetchCache scratch-buffer reuse.
-
-The compiled backend's *algorithm* is always tested: when numba is not
-installed its ``@njit`` decorators degrade to identity, so the same
-per-query loop runs interpreted (with uint64 overflow warnings
-suppressed — wraparound is the intended semantics).
+The kernel's contract is *bit-identical answers*: for every REncoder
+variant, the fused batch path must return exactly what the scalar
+``query_range``/``query_point`` loop returns — including on the edge
+geometries (width-1 ranges, the whole domain, the top key, an empty
+filter).  Hypothesis searches key sets and query batches; dedicated
+tests pin the no-false-negative invariant, per-filter kernel caching
+and the probe accounting.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import kernels
-from repro.core.errors import FilterCorruptionError, TruncatedError
-from repro.core.kernels import (
-    available_backends,
-    configure,
-    default_backend,
-    numba_available,
-    resolve_backend,
-)
-from repro.core.kernels.fused import NumpyKernel
-from repro.core.kernels.layout import BlockedRBF
-from repro.core.kernels.numba_backend import NumbaKernel
-from repro.core.rencoder import FetchCache, REncoder
-from repro.core.serialize import (
-    VERSION,
-    VERSION_BLOCKED,
-    checksum,
-    dumps,
-    loads,
-)
+from repro.core.kernels import get_kernel
+from repro.core.rencoder import REncoder
 from repro.core.variants import REncoderPO, REncoderSE, REncoderSS
 
 KEY_BITS = 24
 TOP = (1 << KEY_BITS) - 1
 
 VARIANTS = [REncoder, REncoderSS, REncoderSE, REncoderPO]
-LAYOUTS = ["flat", "blocked"]
-#: Every engine that must agree, whether or not numba is installed
-#: (without the package ``numba`` silently resolves to ``numpy``).
-ENGINES = ["legacy", "numpy", "numba"]
 
 
-@pytest.fixture(autouse=True)
-def _reset_backend_config():
-    """Keep :func:`configure` state from leaking between tests."""
-    yield
-    configure(None)
-
-
-def _build(cls, keys, group_bits=8, layout="flat", **extra):
-    kwargs = dict(key_bits=KEY_BITS, group_bits=group_bits, layout=layout)
+def _build(cls, keys, group_bits=8, **extra):
+    kwargs = dict(key_bits=KEY_BITS, group_bits=group_bits)
     if cls is REncoderSE:
         kwargs["sample_queries"] = [(1, 2), (100, 200)]
     kwargs.update(extra)
@@ -89,297 +51,86 @@ ranges_strategy = st.lists(
 )
 
 
+def _scalar_ranges(filt, ranges):
+    return [filt.query_range(lo, hi) for lo, hi in ranges]
+
+
 # ----------------------------------------------------------------------
-# backend equivalence
+# fused == scalar
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("cls", VARIANTS)
 @given(
     keys=st.sets(st.integers(0, TOP), min_size=1, max_size=40),
     ranges=ranges_strategy,
 )
 @settings(max_examples=15, deadline=None)
-def test_engines_match_scalar(cls, layout, keys, ranges):
-    filt = _build(cls, keys, layout=layout)
+def test_fused_range_matches_scalar(cls, keys, ranges):
+    filt = _build(cls, keys)
     ranges = ranges + EDGE_RANGES
-    scalar = [filt.query_range(lo, hi) for lo, hi in ranges]
-    for engine in ENGINES:
-        batch = filt.query_range_many(ranges, engine=engine)
-        assert [bool(a) for a in batch] == scalar, engine
+    batch = filt.query_range_many(ranges)
+    assert [bool(a) for a in batch] == _scalar_ranges(filt, ranges)
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("cls", [REncoder, REncoderPO])
 @given(keys=st.sets(st.integers(0, TOP), min_size=1, max_size=40))
 @settings(max_examples=15, deadline=None)
-def test_point_engines_match_scalar(cls, layout, keys):
-    filt = _build(cls, keys, layout=layout)
+def test_fused_point_matches_scalar(cls, keys):
+    filt = _build(cls, keys)
     points = sorted(keys)[:5] + [0, TOP, (min(keys) + 1) & TOP]
-    scalar = [filt.query_point(p) for p in points]
-    for engine in ENGINES:
-        batch = filt.query_point_many(points, engine=engine)
-        assert [bool(a) for a in batch] == scalar, engine
+    batch = filt.query_point_many(points)
+    assert [bool(a) for a in batch] == [filt.query_point(p) for p in points]
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("group_bits", [3, 4, 8])
-def test_no_false_negatives_per_engine(layout, group_bits):
+def test_fused_has_no_false_negatives(group_bits):
     rng = np.random.default_rng(7)
     keys = rng.integers(0, TOP, size=500, dtype=np.uint64)
-    filt = _build(REncoder, set(map(int, keys)), group_bits=group_bits,
-                  layout=layout)
+    filt = _build(REncoder, set(map(int, keys)), group_bits=group_bits)
     ranges = [(int(k), min(int(k) + 8, TOP)) for k in keys]
-    for engine in ENGINES:
-        answers = filt.query_range_many(ranges, engine=engine)
-        assert all(bool(a) for a in answers), engine
+    assert all(bool(a) for a in filt.query_range_many(ranges))
 
 
-def test_empty_filter_all_engines_negative_free():
+def test_empty_filter_fused_matches_scalar():
     filt = REncoder(
         np.array([], dtype=np.uint64), 2048, key_bits=KEY_BITS
     )
     ranges = EDGE_RANGES + [(5, 500)]
-    scalar = [filt.query_range(lo, hi) for lo, hi in ranges]
-    for engine in ENGINES:
-        batch = filt.query_range_many(ranges, engine=engine)
-        assert [bool(a) for a in batch] == scalar, engine
+    batch = filt.query_range_many(ranges)
+    assert [bool(a) for a in batch] == _scalar_ranges(filt, ranges)
 
 
 # ----------------------------------------------------------------------
-# the compiled backend's algorithm, interpreted when numba is absent
+# kernel caching and accounting
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("cls", [REncoder, REncoderSS, REncoderPO])
-def test_numba_algorithm_matches_numpy(cls, layout):
-    rng = np.random.default_rng(11)
-    keys = set(map(int, rng.integers(0, TOP, size=200, dtype=np.uint64)))
-    filt = _build(cls, keys, layout=layout)
-    los = rng.integers(0, TOP - 512, size=300, dtype=np.uint64)
-    his = los + rng.integers(0, 400, size=300, dtype=np.uint64)
-    los = np.concatenate([los, np.array([0, TOP, 0], dtype=np.uint64)])
-    his = np.concatenate([his, np.array([0, TOP, TOP], dtype=np.uint64)])
-
-    expected = NumpyKernel(filt).range_many(los, his)
-    kern = NumbaKernel(filt)
-    # Force the compiled code path even when numba is missing: the
-    # decorators degrade to identity, so the exact per-query loop runs
-    # interpreted.  uint64 wraparound is intended — silence the warnings
-    # numpy raises for it outside numba.
-    kern._compiled = True
-    with warnings.catch_warnings(), np.errstate(over="ignore"):
-        warnings.simplefilter("ignore", RuntimeWarning)
-        got = kern.range_many(los, his)
-        points = kern.point_many(los[:50])
-    np.testing.assert_array_equal(np.asarray(got), np.asarray(expected))
-    scalar_points = [filt.query_point(int(p)) for p in los[:50]]
-    assert [bool(a) for a in points] == scalar_points
-
-
-def test_numba_kernel_falls_back_above_expansion_cap():
-    filt = _build(REncoder, {1, 2, 3}, max_expansion=(1 << 22) + 1)
-    kern = NumbaKernel(filt)
-    assert not kern._compiled  # DFS stack would not fit; numpy path runs
-    los = np.array([0, 1], dtype=np.uint64)
-    his = np.array([10, 1], dtype=np.uint64)
-    np.testing.assert_array_equal(
-        np.asarray(kern.range_many(los, his)),
-        np.asarray(NumpyKernel(filt).range_many(los, his)),
-    )
-
-
-# ----------------------------------------------------------------------
-# blocked layout + serialization
-# ----------------------------------------------------------------------
-def test_blocked_layout_construction():
-    filt = _build(REncoder, set(range(100, 200)), layout="blocked")
-    rbf = filt.rbf
-    assert isinstance(rbf, BlockedRBF)
-    assert rbf.layout == "blocked"
-    params = rbf.placement_params()
-    assert params["layout"] == "blocked"
-    assert params["nblocks"] * params["span_bits"] <= rbf.bits
-    assert params["num_offsets"] >= 1
-
-
-def test_serialize_version_bytes_by_layout():
-    flat = _build(REncoder, {1, 5, 9}, layout="flat")
-    blocked = _build(REncoder, {1, 5, 9}, layout="blocked")
-    assert int.from_bytes(dumps(flat)[4:6], "little") == VERSION
-    assert int.from_bytes(dumps(blocked)[4:6], "little") == VERSION_BLOCKED
-
-
-@pytest.mark.parametrize("cls", VARIANTS)
-def test_blocked_serialize_round_trip(cls):
-    rng = np.random.default_rng(3)
-    keys = set(map(int, rng.integers(0, TOP, size=300, dtype=np.uint64)))
-    filt = _build(cls, keys, layout="blocked")
-    loaded = loads(dumps(filt))
-    assert isinstance(loaded.rbf, BlockedRBF)
-    assert loaded.rbf.layout == "blocked"
-    ranges = [(int(k), min(int(k) + 16, TOP)) for k in sorted(keys)[:64]]
-    ranges += EDGE_RANGES
-    for engine in ("legacy", "numpy"):
-        orig = filt.query_range_many(ranges, engine=engine)
-        back = loaded.query_range_many(ranges, engine=engine)
-        assert [bool(a) for a in orig] == [bool(a) for a in back]
-
-
-def _rewrite_version(blob: bytes, version: int) -> bytes:
-    """Patch the record-type byte and fix the CRC so only the coupling
-    check can reject the result."""
-    body = bytearray(blob[:-4])
-    body[4:6] = version.to_bytes(2, "little")
-    import struct
-
-    return bytes(body) + struct.pack("<I", checksum(bytes(body)))
-
-
-def test_layout_version_coupling_rejected():
-    flat = dumps(_build(REncoder, {1, 2, 3}, layout="flat"))
-    blocked = dumps(_build(REncoder, {1, 2, 3}, layout="blocked"))
-    # v3 record without a layout claim, and a blocked claim in v2: both
-    # pass the CRC (rewritten) but must fail the coupling check.
-    with pytest.raises(FilterCorruptionError, match="inconsistent"):
-        loads(_rewrite_version(flat, VERSION_BLOCKED))
-    with pytest.raises(FilterCorruptionError, match="inconsistent"):
-        loads(_rewrite_version(blocked, VERSION))
-
-
-def test_blocked_blob_truncation_and_corruption():
-    blob = dumps(_build(REncoder, set(range(50)), layout="blocked"))
-    for cut in (4, 9, len(blob) // 2, len(blob) - 1):
-        with pytest.raises((TruncatedError, FilterCorruptionError)):
-            loads(blob[:cut])
-    flipped = bytearray(blob)
-    flipped[len(blob) - 10] ^= 0x40  # inside the RBF payload words
-    with pytest.raises(FilterCorruptionError, match="checksum"):
-        loads(bytes(flipped))
-
-
-def test_union_requires_matching_layout():
-    a = _build(REncoder, {1, 2, 3}, layout="flat")
-    b = _build(REncoder, {4, 5, 6}, layout="blocked")
-    with pytest.raises(ValueError):
-        a.union(b)
-
-
-# ----------------------------------------------------------------------
-# backend selection and routing
-# ----------------------------------------------------------------------
-def test_cache_with_kernel_engine_rejected():
-    filt = _build(REncoder, {1, 2, 3})
-    with pytest.raises(ValueError):
-        filt.query_range_many([(1, 2)], cache=FetchCache(), engine="numpy")
-    # cache alone, or cache + an explicit legacy engine, still works
-    assert len(filt.query_range_many([(1, 2)], cache=FetchCache())) == 1
-    assert len(
-        filt.query_range_many(
-            [(1, 2)], cache=FetchCache(), engine="legacy"
-        )
-    ) == 1
-
-
-def test_resolve_backend_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNELS", raising=False)
-    assert resolve_backend("legacy") == "legacy"
-    assert resolve_backend("numpy") == "numpy"
-    # numba degrades to numpy when the package is missing
-    expected = "numba" if numba_available() else "numpy"
-    assert resolve_backend("numba") == expected
-    assert resolve_backend(None) == default_backend() == expected
-
-    monkeypatch.setenv("REPRO_KERNELS", "legacy")
-    assert resolve_backend(None) == "legacy"
-    configure("numpy")  # process-wide override beats the env
-    assert resolve_backend(None) == "numpy"
-    assert resolve_backend("legacy") == "legacy"  # explicit arg beats both
-
-    with pytest.raises(ValueError):
-        resolve_backend("avx512")
-    with pytest.raises(ValueError):
-        configure("avx512")
-    monkeypatch.setenv("REPRO_KERNELS", "bogus")
-    configure(None)
-    with pytest.raises(ValueError):
-        resolve_backend(None)
-
-
-def test_available_backends_shape():
-    backends = available_backends()
-    assert backends[-2:] == ["numpy", "legacy"]
-    assert ("numba" in backends) == numba_available()
-
-
 def test_kernel_cache_reused_and_invalidated():
     filt = _build(REncoder, set(range(64)))
-    filt.query_range_many([(1, 2)], engine="numpy")
-    cached = filt._kernel_cache
-    assert cached is not None and cached[0] == "numpy"
-    filt.query_range_many([(3, 4)], engine="numpy")
-    assert filt._kernel_cache[1] is cached[1]  # same kernel object
+    filt.query_range_many([(1, 2)])
+    kernel = filt._kernel_cache
+    assert kernel is not None and get_kernel(filt) is kernel
+    filt.query_range_many([(3, 4)])
+    assert filt._kernel_cache is kernel  # same kernel object
     filt._finalise_levels()  # the only operation that changes the plan
     assert filt._kernel_cache is None
-    # and a rebuilt kernel still agrees with the legacy engine
+    # and a rebuilt kernel still agrees with the scalar loop
     ranges = [(i, i + 3) for i in range(0, 120, 7)]
-    legacy = filt.query_range_many(ranges, engine="legacy")
-    fused = filt.query_range_many(ranges, engine="numpy")
-    assert [bool(a) for a in legacy] == [bool(a) for a in fused]
+    batch = filt.query_range_many(ranges)
+    assert [bool(a) for a in batch] == _scalar_ranges(filt, ranges)
 
 
-def test_union_result_answers_identically_across_engines():
+def test_union_result_fused_matches_scalar():
     a = _build(REncoder, set(range(0, 50)))
     b = _build(REncoder, set(range(1000, 1050)))
     merged = a.union(b)
     assert getattr(merged, "_kernel_cache", None) is None
     ranges = [(i, i + 1) for i in range(0, 1100, 13)] + EDGE_RANGES
-    scalar = [merged.query_range(lo, hi) for lo, hi in ranges]
-    for engine in ENGINES:
-        batch = merged.query_range_many(ranges, engine=engine)
-        assert [bool(x) for x in batch] == scalar, engine
+    batch = merged.query_range_many(ranges)
+    assert [bool(x) for x in batch] == _scalar_ranges(merged, ranges)
 
 
 def test_fetch_count_accounting_on_kernel_path():
     filt = _build(REncoder, set(range(256)))
     filt.reset_counters()
-    filt.query_range_many([(i, i + 7) for i in range(0, 256, 5)],
-                          engine="numpy")
+    filt.query_range_many([(i, i + 7) for i in range(0, 256, 5)])
     # one fetch per (hash seed, probe); the kernel books k per probe
     assert filt.rbf.fetch_count > 0
     assert filt.rbf.fetch_count % filt.rbf.k == 0
-
-
-# ----------------------------------------------------------------------
-# FetchCache scratch reuse (legacy engine)
-# ----------------------------------------------------------------------
-def test_fetch_cache_scratch_buffer_reused():
-    filt = _build(REncoder, set(range(512)))
-    cache = FetchCache()
-    ranges = [(i, i + 3) for i in range(0, 512, 4)]
-    filt.query_range_many(ranges, cache=cache)
-    out_buf = cache.scratch._out
-    assert out_buf is not None
-    cache._groups.clear()  # force refetches; the scratch must persist
-    filt.query_range_many(ranges, cache=cache)
-    # same underlying buffer: no per-batch reallocation at steady state
-    assert cache.scratch._out is out_buf
-
-
-def test_cached_bitmap_trees_survive_scratch_reuse():
-    # store() must snapshot out of the reused scratch buffer, or a later
-    # fetch would silently rewrite earlier cache entries in place.
-    filt = _build(REncoder, set(range(512)))
-    cache = FetchCache()
-    ranges = [(i, i + 3) for i in range(0, 512, 4)]
-    first = filt.query_range_many(ranges, cache=cache)
-    snapshots = {
-        group: (hps.copy(), rows.copy())
-        for group, (hps, rows) in cache._groups.items()
-    }
-    assert snapshots, "cache should hold mini-trees after a batch"
-    second = filt.query_range_many(list(reversed(ranges)), cache=cache)
-    assert [bool(a) for a in second] == [bool(a) for a in reversed(first)]
-    for group, (hps, rows) in snapshots.items():
-        cur_hps, cur_rows = cache._groups[group]
-        pos = np.searchsorted(cur_hps, hps)
-        np.testing.assert_array_equal(cur_hps[pos], hps)
-        np.testing.assert_array_equal(cur_rows[pos], rows)

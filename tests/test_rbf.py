@@ -179,26 +179,6 @@ class TestBulkInsert:
 
 
 class TestBatchFetch:
-    def test_fetch_bt_many_matches_scalar(self):
-        codec = BitmapTreeCodec(8)
-        for gb, bb, k in [(8, None, 2), (8, None, 4), (4, 32, 2), (8, 512, 1)]:
-            rbf = RangeBloomFilter(1 << 15, k=k, group_bits=gb, block_bits=bb)
-            rng = np.random.default_rng(gb * 100 + k)
-            for key in rng.integers(0, 1 << 32, 64, dtype=np.uint64):
-                bt = np.zeros(rbf.words_per_block, dtype=np.uint64)
-                bt[0] = np.uint64(int(key) & rbf._block_mask) | np.uint64(1)
-                rbf.insert_bt(int(key), bt)
-            probes = rng.integers(0, 1 << 32, 200, dtype=np.uint64)
-            batch = rbf.fetch_bt_many(probes)
-            for row, key in zip(batch, probes):
-                assert (row == rbf.fetch_bt(int(key))).all()
-
-    def test_fetch_bt_many_counts_like_scalar(self):
-        rbf = RangeBloomFilter(1 << 14, k=3)
-        rbf.fetch_bt_many(np.arange(10, dtype=np.uint64))
-        assert rbf.fetch_count == 10 * 3
-        assert rbf.fetch_bt_many(np.zeros(0, dtype=np.uint64)).shape == (0, 8)
-
     def test_copy_preserves_block_bits(self):
         # Regression: copy() used to drop a custom block_bits, silently
         # rebuilding the clone with the group_bits-derived default.
@@ -228,18 +208,11 @@ class TestBatchFetch:
                 break
         assert hit_aligned, "no word-aligned position found in 3000 keys"
 
-    def test_fetch_bt_many_rows_are_fresh(self):
-        rbf = RangeBloomFilter(1 << 13, k=2, group_bits=8)
-        before = rbf._array.copy()
-        rows = rbf.fetch_bt_many(np.arange(50, dtype=np.uint64))
-        rows |= np.uint64(1)
-        assert (rbf._array == before).all()
-
 
 class TestGenerationAndCounters:
-    """Satellites of the serving PR: generation tracking + thread-safe
-    counters (a reused FetchCache validates against ``generation``; the
-    service's concurrent workers must never lose counter increments)."""
+    """Generation tracking + thread-safe counters (``generation`` is a
+    telemetry gauge of structural age; the service's concurrent workers
+    must never lose counter increments)."""
 
     def test_insert_bumps_generation(self):
         codec = BitmapTreeCodec(8)

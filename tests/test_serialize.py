@@ -130,6 +130,15 @@ class TestFormat:
             assert restored.query_point(int(k))
 
 
+def _forbid_rbf_allocation(monkeypatch):
+    """Fail the test if ``loads`` gets as far as allocating the RBF."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loads allocated an RBF for a rejected blob")
+
+    monkeypatch.setattr("repro.core.serialize.RangeBloomFilter", refuse)
+
+
 @pytest.fixture(scope="module")
 def small_blob():
     keys = np.unique(
@@ -170,6 +179,29 @@ class TestHostileInput:
         blob = body + struct.pack("<I", checksum(body))
         with pytest.raises(FilterCorruptionError, match="version"):
             loads(blob)
+
+    def test_v3_record_rejected_before_allocation(
+        self, small_blob, monkeypatch
+    ):
+        """Version 3 was the retired blocked-layout record; a reader
+        that no longer builds that placement must refuse it up front."""
+        _forbid_rbf_allocation(monkeypatch)
+        blob = _repack(small_blob, layout="blocked")
+        body = blob[:4] + struct.pack("<H", 3) + blob[6:-4]
+        blob = body + struct.pack("<I", checksum(body))
+        with pytest.raises(FilterCorruptionError, match="version 3"):
+            loads(blob)
+
+    @pytest.mark.parametrize("layout", ["blocked", "Flat", "", 0])
+    def test_non_flat_layout_rejected_before_allocation(
+        self, small_blob, monkeypatch, layout
+    ):
+        _forbid_rbf_allocation(monkeypatch)
+        with pytest.raises(FilterCorruptionError, match="layout"):
+            loads(_repack(small_blob, layout=layout))
+
+    def test_explicit_flat_layout_loads(self, small_blob):
+        assert loads(_repack(small_blob, layout="flat")).n_keys > 0
 
     def test_trailing_garbage_rejected(self, small_blob):
         with pytest.raises(FilterCorruptionError, match="trailing"):
