@@ -2,9 +2,11 @@
 
 Measures the batch path on the Fig. 6 uniform workload (10 BPK, 64-wide
 ranges): the fused kernel (:mod:`repro.core.kernels`) against the
-scalar ``query_range`` loop, plus the fused kernel's throughput on three
-workloads — uniform, correlated (left bound near a key) and adjacent
-(runs of consecutive windows).
+scalar ``query_range`` loop, plus the fused kernel's throughput on four
+workloads — uniform, correlated (left bound near a key), adjacent
+(runs of consecutive windows) and wide (widths log-uniform in
+``[2^7, 2^18)``, run in batches of 1,000, where the tile descent rather
+than the ancestor probes does the work).
 
 The fused answers are asserted bit-identical to the scalar loop (on a
 subset of every workload — the loop is the slow side) and at least 5×
@@ -51,6 +53,10 @@ PRESETS = {
 }
 BPK = 10
 WIDTH = 64
+#: The wide workload: widths log-uniform in [2^WIDE_LOG[0], 2^WIDE_LOG[1]),
+#: sent as batches of WIDE_BATCH ranges.
+WIDE_LOG = (7, 18)
+WIDE_BATCH = 1_000
 #: Scalar answers checked against the fused kernel per sweep workload.
 N_WORKLOAD_CHECK = 200
 
@@ -68,6 +74,32 @@ def adjacent_range_queries(keys, n, *, run_length=16, seed=0):
             lo = start + i * WIDTH
             out.append((lo, lo + WIDTH - 1))
     return out[:n]
+
+
+def wide_range_queries(n, *, seed=0):
+    """``n`` ranges with widths log-uniform in ``[2^7, 2^18)``."""
+    rng = np.random.default_rng(seed)
+    widths = (2.0 ** rng.uniform(*WIDE_LOG, size=n)).astype(np.uint64)
+    los = rng.integers(0, (1 << 64) - (1 << WIDE_LOG[1]), size=n,
+                       dtype=np.uint64)
+    return [(int(lo), int(lo + w) - 1) for lo, w in zip(los, widths)]
+
+
+def time_wide(filt, queries) -> dict:
+    """Fused throughput on ``queries`` sent in ``WIDE_BATCH``-range calls."""
+    filt.query_range_many(queries[:WIDE_BATCH])  # warm
+    filt.reset_counters()
+    answers = []
+    start = time.perf_counter()
+    for i in range(0, len(queries), WIDE_BATCH):
+        answers.append(filt.query_range_many(queries[i : i + WIDE_BATCH]))
+    seconds = time.perf_counter() - start
+    n = len(queries)
+    return {
+        "kqps": round(n / seconds / 1e3, 1),
+        "probes_per_query": round(filt.probe_count / n, 2),
+        "answers": np.concatenate(answers),
+    }
 
 
 def time_batch(filt, los: np.ndarray, his: np.ndarray, *,
@@ -145,6 +177,12 @@ def run_bench(preset: str, seed: int = 1) -> dict:
             workloads[name] = round(run.filter_kqps, 1)
             check = wl[:N_WORKLOAD_CHECK]
             equivalent &= _matches_scalar(filt, check, filt.query_many(check))
+        wide_queries = wide_range_queries(cfg["n_workload"], seed=seed + 4)
+        wide = time_wide(filt, wide_queries)
+        workloads["wide"] = wide["kqps"]
+        equivalent &= _matches_scalar(
+            filt, wide_queries[:N_WORKLOAD_CHECK], wide.pop("answers")
+        )
 
     batch_run = run_batch_filter(filt, queries, build_seconds=build_seconds)
     speedup = headline["kqps"] / round(scalar_run.filter_kqps, 1)
@@ -164,6 +202,12 @@ def run_bench(preset: str, seed: int = 1) -> dict:
         },
         "batch": headline,
         "workloads": workloads,
+        "wide": {
+            "widths_log2": list(WIDE_LOG),
+            "batch": WIDE_BATCH,
+            "n_queries": cfg["n_workload"],
+            **wide,
+        },
         "speedup": round(speedup, 2),
         "equivalent": bool(equivalent),
     }
@@ -184,6 +228,12 @@ def _finish(payload: dict, benchmark=None) -> dict:
         "batch_query",
         payload["preset"],
         payload["batch"]["kqps"],
+        engine=payload["engine"],
+    )
+    append_trajectory(
+        "batch_query_wide",
+        payload["preset"],
+        payload["wide"]["kqps"],
         engine=payload["engine"],
     )
     assert payload["equivalent"], "fused kernel diverged from the scalar answers"

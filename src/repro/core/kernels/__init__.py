@@ -2,12 +2,14 @@
 
 Batch queries on the REncoder family run through one kernel,
 :class:`~repro.core.kernels.fused.NumpyKernel`: dyadic decomposition,
-hash mixing and RBF bit-tests fused into one pass over preallocated
-uint64 arrays.  A probe is ``k`` single-word gathers (plus the
-mirror-root word when the hash-prefix level is stored) — no Bitmap Tree
-is materialised and no per-level Python round-trips remain.  The scalar
-descent (:meth:`REncoder.query_range`) is its oracle: the property suite
-in ``tests/test_kernels.py`` asserts the two are bit-identical.
+hash mixing and RBF bit-tests vectorised over the whole batch.  Ancestor
+and point probes test one bit each (``k`` word gathers, plus the
+mirror-root word when the hash-prefix level is stored); the doubting
+descent fetches each (sub-range, group, hash prefix) Bitmap Tree once
+and resolves every level inside it with word-level bit operations.  The
+scalar descent (:meth:`REncoder.query_range`) is its oracle: the
+property suite in ``tests/test_kernels.py`` asserts the two are
+bit-identical.
 """
 
 from __future__ import annotations
